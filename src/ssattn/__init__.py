@@ -27,6 +27,7 @@ from .blocks import (
 from .checks import CHECKS, BUDGETS, CheckResult, run_checks, tiny_config
 from .errors import (
     ConfigError,
+    DTypeError,
     EmptyDomainError,
     FormatError,
     MagicError,

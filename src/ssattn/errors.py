@@ -17,6 +17,10 @@ class EmptyDomainError(SSAttnError):
     """A lattice was requested on an axis of extent zero."""
 
 
+class DTypeError(SSAttnError):
+    """An array's dtype differs from the dtype the operation is built for."""
+
+
 class NumericError(SSAttnError):
     """Non-finite values where the contract requires finite ones."""
 

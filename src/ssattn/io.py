@@ -19,6 +19,7 @@ directory, then renames over the destination.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -48,6 +49,8 @@ CHECKPOINT_MAGIC = b"SSC1"
 
 _DTYPE_TAGS = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 _NATIVE = {"f32": np.float32, "f64": np.float64}
+_MAX_RANK = 64  # numpy's ndarray rank limit
+_MAX_BYTES = np.iinfo(np.intp).max
 
 
 def _tag_of(arr: np.ndarray) -> str:
@@ -95,10 +98,14 @@ def tensor_from_bytes(blob: bytes) -> np.ndarray:
     if not isinstance(header, dict) or header.get("dtype") not in _DTYPE_TAGS:
         raise FormatError(f"tensor header malformed: {header!r}")
     shape = header.get("shape")
-    if not isinstance(shape, list) or any(not isinstance(s, int) or s < 0 for s in shape):
+    if not isinstance(shape, list) or any(type(s) is not int or s < 0 for s in shape):
         raise FormatError(f"tensor shape malformed: {shape!r}")
     tag = header["dtype"]
-    expected = int(np.prod(shape, dtype=np.int64)) * _DTYPE_TAGS[tag].itemsize
+    itemsize = _DTYPE_TAGS[tag].itemsize
+    # Python ints do not overflow; numpy bounds the rank and the nonzero extents
+    if len(shape) > _MAX_RANK or math.prod(max(s, 1) for s in shape) * itemsize > _MAX_BYTES:
+        raise FormatError(f"tensor shape {shape} exceeds numpy's array limits")
+    expected = math.prod(shape) * itemsize
     payload = blob[8 + header_len :]
     if len(payload) < expected:
         raise TruncatedPayloadError(

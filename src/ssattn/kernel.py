@@ -16,12 +16,18 @@ part of the public contract.
 Both stages of the sparse-scan layer are instances of this one kernel:
 the local-window stage uses dilation 1, the anchor stage uses
 dilation equal to the anchor stride.
+
+Aggregation and the backward apply a sweep as a sparse matrix with n
+entries per row (one CSR matrix per call, block-diagonal over heads);
+only the scores and the attention gradient gather [heads, HW, n, dh]
+blocks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ConfigError, EmptyDomainError, NumericError, ShapeError, StateError
 
@@ -52,40 +58,47 @@ def effective_kernel(k: int, side: int, d: int) -> int:
     return max(1, min(k, fit))
 
 
-def clamped_lattice(center: int, side: int, k: int, d: int = 1) -> np.ndarray:
+def clamped_lattice(center: int | np.ndarray, side: int, k: int, d: int = 1) -> np.ndarray:
     """Lattice of k_eff indices spaced `d` apart, translated into [0, side).
 
     The lattice is centered on `center` whenever the span fits there;
     near borders the whole lattice shifts (step preserved) so that all
-    members stay in bounds.
+    members stay in bounds. An int center gives [k_eff] indices, an
+    array of centers gives one lattice per center, [..., k_eff].
     """
     if side < 1:
         raise EmptyDomainError(f"axis of extent {side} has no lattice")
     if k < 1 or k % 2 == 0 or d < 1:
         raise ConfigError(f"need odd k >= 1 and d >= 1, got k={k} d={d}")
-    if not 0 <= center < side:
+    c = np.asarray(center, dtype=np.int64)
+    if np.any((c < 0) | (c >= side)):
         raise ShapeError(f"center {center} outside axis of extent {side}")
     k_eff = effective_kernel(k, side, d)
-    span = (k_eff - 1) * d
-    start = min(max(center - (k_eff // 2) * d, 0), side - 1 - span)
-    return start + d * np.arange(k_eff, dtype=np.int64)
-
-
-def _axis_lattices(side: int, k: int, d: int) -> np.ndarray:
-    """[side, k_eff] lattice member indices for every center on an axis."""
-    k_eff = effective_kernel(k, side, d)
-    out = np.empty((side, k_eff), dtype=np.int64)
-    for c in range(side):
-        out[c] = clamped_lattice(c, side, k, d)
-    return out
+    start = np.clip(c - (k_eff // 2) * d, 0, side - 1 - (k_eff - 1) * d)
+    return start[..., None] + d * np.arange(k_eff, dtype=np.int64)
 
 
 def flat_index_map(H: int, W: int, spec: NeighborhoodSpec) -> np.ndarray:
     """[H, W, n] flattened (row*W + col) key positions per query, height-major."""
-    lh = _axis_lattices(H, spec.kernel[0], spec.dilation[0])
-    lw = _axis_lattices(W, spec.kernel[1], spec.dilation[1])
+    lh = clamped_lattice(np.arange(H), H, spec.kernel[0], spec.dilation[0])
+    lw = clamped_lattice(np.arange(W), W, spec.kernel[1], spec.dilation[1])
     flat = lh[:, None, :, None] * W + lw[None, :, None, :]
     return flat.reshape(H, W, -1)
+
+
+def _sweep_matrix(weights: np.ndarray, idx: np.ndarray) -> sparse.csr_array:
+    """[heads*HW, heads*HW] CSR matrix of one sweep, block-diagonal over heads.
+
+    Row a*HW + i holds weights[a, i, :] at columns a*HW + idx[i, :], so
+    `_sweep_matrix(attn, idx) @ v` is the aggregation and its transpose
+    scatters back onto keys/values (border duplicates summed).
+    """
+    heads, HW, n = weights.shape
+    cols = (idx.reshape(1, HW * n) + HW * np.arange(heads)[:, None]).reshape(-1)
+    indptr = np.arange(0, heads * HW * n + 1, n)
+    return sparse.csr_array(
+        (weights.reshape(-1), cols, indptr), shape=(heads * HW, heads * HW)
+    )
 
 
 def _check_qkhw(t: np.ndarray, name: str) -> tuple[int, int, int, int]:
@@ -136,9 +149,8 @@ def neighborhood_aggregate(
         raise ShapeError(
             f"attn shape {attn.shape} does not match values {(heads, H, W, n)}"
         )
-    vg = v.reshape(heads, H * W, dh)[:, idx.reshape(H * W, n), :]
-    out = np.matmul(attn.reshape(heads, H * W, 1, n), vg)[:, :, 0, :]
-    return out.reshape(heads, H, W, dh)
+    A = _sweep_matrix(attn.reshape(heads, H * W, n), idx.reshape(H * W, n))
+    return (A @ v.reshape(heads * H * W, dh)).reshape(heads, H, W, dh)
 
 
 @dataclass
@@ -183,36 +195,22 @@ def kernel_backward(grads_out: np.ndarray, saved: KernelSaved) -> dict[str, np.n
     n = idx.shape[-1]
 
     g = grads_out.reshape(heads, HW, dh)
-    qf = q.reshape(heads, HW, dh)
     af = attn.reshape(heads, HW, n)
-    kg = k.reshape(heads, HW, dh)[:, idx, :]  # [heads, HW, n, dh]
-    vg = v.reshape(heads, HW, dh)[:, idx, :]
+    vg = v.reshape(heads, HW, dh)[:, idx, :]  # [heads, HW, n, dh]
 
     d_attn = np.matmul(vg, g[..., None])[..., 0]  # [heads, HW, n]
     inner = (af * d_attn).sum(axis=-1, keepdims=True)
     d_scores = af * (d_attn - inner)
-
-    sc = q.dtype.type(scale)
-    grad_q = np.matmul(d_scores[:, :, None, :], kg)[:, :, 0, :]
     if scale != 1.0:
-        grad_q = grad_q * sc
+        d_scores *= q.dtype.type(scale)  # scores use the scaled keys
 
-    # scatter-add into key/value positions (duplicates near borders)
-    flat = idx.reshape(-1)
-    contrib_k = d_scores[..., None] * qf[:, :, None, :]
-    if scale != 1.0:
-        contrib_k = contrib_k * sc
-    contrib_v = af[..., None] * g[:, :, None, :]
-
-    grad_k = np.zeros((HW, heads, dh), dtype=q.dtype)
-    grad_v = np.zeros((HW, heads, dh), dtype=q.dtype)
-    np.add.at(grad_k, flat, contrib_k.transpose(1, 2, 0, 3).reshape(HW * n, heads, dh))
-    np.add.at(grad_v, flat, contrib_v.transpose(1, 2, 0, 3).reshape(HW * n, heads, dh))
-
+    D = _sweep_matrix(d_scores, idx)
+    A = _sweep_matrix(af, idx)
+    flat = (heads * HW, dh)
     return {
-        "grad_q": grad_q.reshape(heads, H, W, dh),
-        "grad_k": grad_k.transpose(1, 0, 2).reshape(heads, H, W, dh),
-        "grad_v": grad_v.transpose(1, 0, 2).reshape(heads, H, W, dh),
+        "grad_q": (D @ k.reshape(flat)).reshape(q.shape),
+        "grad_k": (D.T @ q.reshape(flat)).reshape(q.shape),
+        "grad_v": (A.T @ g.reshape(flat)).reshape(q.shape),
     }
 
 

@@ -48,7 +48,7 @@ def _pair(value, name: str, odd: bool = False) -> tuple[int, int]:
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be an int or a pair, got {value!r}") from None
     for v in (a, b):
-        if not isinstance(v, int) or v < 1:
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
             raise ConfigError(f"{name} entries must be ints >= 1, got {value!r}")
         if odd and v % 2 == 0:
             raise ConfigError(f"{name} entries must be odd, got {value!r}")

@@ -38,7 +38,7 @@ from .blocks import (
     stem_forward,
     stem_param_count,
 )
-from .errors import ConfigError, ShapeError, StateError
+from .errors import ConfigError, DTypeError, NumericError, ShapeError, StateError
 from .layer import S3AConfig, s3a_flops
 from .report import ReportNode
 from .tensor import DEFAULT_DTYPE, Rng
@@ -73,19 +73,22 @@ class ModelConfig:
     stage_overrides: tuple = (None, None, None, None)
 
     def __post_init__(self):
-        for field_name in ("blocks", "channels", "heads"):
-            value = tuple(getattr(self, field_name))
-            if len(value) != NUM_STAGES:
-                raise ConfigError(f"{field_name} must have {NUM_STAGES} entries, got {value}")
-            object.__setattr__(self, field_name, value)
-        object.__setattr__(self, "stage_overrides", tuple(self.stage_overrides))
-        if len(self.stage_overrides) != NUM_STAGES:
-            raise ConfigError("stage_overrides must have four entries")
+        if not isinstance(self.name, str) or not isinstance(self.lce, bool):
+            raise ConfigError(f"name must be a str and lce a bool, got {self.name!r}, {self.lce!r}")
+        for field_name in ("blocks", "channels", "heads", "stage_overrides"):
+            value = getattr(self, field_name)
+            if not isinstance(value, (tuple, list)) or len(value) != NUM_STAGES:
+                raise ConfigError(f"{field_name} must have {NUM_STAGES} entries, got {value!r}")
+            object.__setattr__(self, field_name, tuple(value))
+        counts = self.blocks + self.channels + self.heads
+        for v in counts + (self.ffn_ratio, self.classes, self.in_channels):
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                raise ConfigError(f"counts, widths and ratios must be ints >= 1, got {v!r}")
         for ov in self.stage_overrides:
-            if ov is not None and set(ov) - _OVERRIDE_KEYS:
-                raise ConfigError(f"unknown stage override keys {set(ov) - _OVERRIDE_KEYS}")
-        if any(b < 1 for b in self.blocks) or self.classes < 1 or self.ffn_ratio < 1:
-            raise ConfigError("blocks, classes and ffn_ratio must be >= 1")
+            if ov is not None and (not isinstance(ov, dict) or set(ov) - _OVERRIDE_KEYS):
+                raise ConfigError(
+                    f"stage override must be None or a dict of {sorted(_OVERRIDE_KEYS)}, got {ov!r}"
+                )
         if any(a >= b for a, b in zip(self.channels, self.channels[1:])):
             raise ConfigError(f"channels must strictly increase, got {self.channels}")
         for c, h in zip(self.channels, self.heads):
@@ -161,13 +164,18 @@ def model_forward(x: np.ndarray, params: ModelParams, cfg: ModelConfig) -> np.nd
     """Classify one [in_channels, H, W] image; returns [classes] logits.
 
     Input sides must be at least 32 and divisible by 4 so that every
-    stage has a nonempty feature map of predictable extent.
+    stage has a nonempty feature map of predictable extent. The image
+    must be finite and have the parameters' dtype; it is never cast.
     """
     if x.ndim != 3 or x.shape[0] != cfg.in_channels:
         raise ShapeError(f"expected [{cfg.in_channels}, H, W] input, got shape {x.shape}")
     for side in (x.shape[1], x.shape[2]):
         if side < 32 or side % 4:
             raise ShapeError(f"input sides must be >= 32 and divisible by 4, got {x.shape[1]}x{x.shape[2]}")
+    if x.dtype != params.head.w.dtype:
+        raise DTypeError(f"input image is {x.dtype} but the parameters are {params.head.w.dtype}")
+    if not np.isfinite(x).all():
+        raise NumericError("input image contains NaN or Inf")
     y = stem_forward(x, params.stem)
     for i in range(NUM_STAGES):
         scfg = cfg.stage_s3a(i)
@@ -334,12 +342,7 @@ def config_from_dict(d: dict) -> ModelConfig:
     missing = {"name", "blocks", "channels", "heads"} - set(d)
     if missing:
         raise ConfigError(f"config missing keys {sorted(missing)}")
-    kw = {k: _detuple(v) for k, v in d.items()}
-    if "stage_overrides" in kw:
-        kw["stage_overrides"] = tuple(
-            dict(ov) if isinstance(ov, dict) else ov for ov in kw["stage_overrides"]
-        )
-    return ModelConfig(**kw)
+    return ModelConfig(**{k: _detuple(v) for k, v in d.items()})
 
 
 def config_hash(cfg: ModelConfig) -> str:

@@ -104,6 +104,19 @@ def test_tensor_rejects_malformed_headers():
         tensor_from_bytes(header_blob("f32", (2, -2), four))
 
 
+def test_tensor_rejects_unrepresentable_shapes():
+    four = np.arange(4, dtype=np.float32).tobytes()
+    with pytest.raises(FormatError):
+        tensor_from_bytes(header_blob("f32", [True], four[:4]))
+    with pytest.raises(FormatError):
+        tensor_from_bytes(header_blob("f32", [2.0, 2], four))
+    # the element count overflows int64; empty arrays still hit numpy's bound
+    for shape in ([2**62, 4], [2**62, 0], [2**64, 0], [1] * 65):
+        with pytest.raises(FormatError):
+            tensor_from_bytes(header_blob("f32", shape, four[:4]))
+    assert tensor_from_bytes(header_blob("f32", [2**40, 0], b"")).shape == (2**40, 0)
+
+
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     target = tmp_path / "out.bin"
     atomic_write_bytes(str(target), b"hello")

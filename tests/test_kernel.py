@@ -73,6 +73,16 @@ def test_lattice_matches_independent_derivation():
         assert fast == slow, (center, side, k, d)
 
 
+def test_lattice_over_all_centers_matches_scalar_calls():
+    for side, k, d in [(1, 3, 1), (5, 7, 2), (9, 7, 1), (56, 7, 8), (13, 5, 3)]:
+        rows = clamped_lattice(np.arange(side), side, k, d)
+        assert rows.shape == (side, effective_kernel(k, side, d))
+        for c in range(side):
+            assert rows[c].tolist() == axis_points(c, side, k, d), (c, side, k, d)
+    with pytest.raises(ShapeError):
+        clamped_lattice(np.array([0, 8]), 8, 3, 1)
+
+
 def test_lattice_rejects_bad_arguments():
     with pytest.raises(EmptyDomainError):
         effective_kernel(3, 0, 1)
@@ -270,6 +280,32 @@ def test_backward_single_precision_tolerance():
             fd = fd_gradient(f_of(name), {"q": q, "k": k, "v": v}[name], step=1e-3)
             rel = np.abs(grads[key].astype(np.float64) - fd).max() / (np.abs(fd).max() + 1e-12)
             assert rel <= 1e-2, (name, rel)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-6), (np.float32, 1e-4)])
+@pytest.mark.parametrize("heads, H, W, dh, kernel, dilation", [
+    (2, 5, 9, 3, (3, 7), (2, 1)),  # clamped, non-square: many queries share keys
+    (2, 1, 1, 3, (3, 3), (1, 1)),
+    (3, 4, 5, 2, (3, 3), (1, 2)),  # a wrong per-head column offset mixes heads
+])
+def test_sparse_sweeps_match_oracle_and_finite_differences(
+    heads, H, W, dh, kernel, dilation, dtype, tol
+):
+    g = gen(34)
+    spec = NeighborhoodSpec(kernel, dilation)
+    q, k, v, cot = (g.normal(size=(heads, H, W, dh)).astype(dtype) for _ in range(4))
+    out, saved = kernel_forward(q, k, v, spec)
+    assert out.dtype == dtype
+    assert np.abs(out - oracle_kernel(q, k, v, kernel, dilation)).max() <= tol
+    grads = kernel_backward(cot, saved)
+    wide = {name: t.astype(np.float64) for name, t in zip("qkv", (q, k, v))}
+    f_of = _objective(wide["q"], wide["k"], wide["v"], spec, cot.astype(np.float64))
+    for name in "qkv":
+        got = grads[f"grad_{name}"]
+        assert got.dtype == dtype
+        fd = fd_gradient(f_of(name), wide[name], step=1e-5)
+        rel = np.abs(got - fd).max() / (np.abs(fd).max() + 1e-12)
+        assert rel <= tol, (name, rel)
 
 
 def test_backward_zero_cotangent_gives_zero_grads():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ssattn.checks import tiny_config
-from ssattn.errors import ConfigError, ShapeError, StateError
+from ssattn.errors import ConfigError, DTypeError, NumericError, ShapeError, StateError
 from ssattn.model import (
     MODEL_PRESETS,
     ModelConfig,
@@ -106,6 +106,27 @@ def test_config_from_dict_rejects_unknown_and_missing_keys():
         config_from_dict({**d, "windows": 3})
     with pytest.raises(ConfigError):
         config_from_dict({k: v for k, v in d.items() if k != "channels"})
+
+
+def test_config_from_dict_rejects_mistyped_fields():
+    d = config_to_dict(tiny_config())
+    bad = [
+        {"heads": [0, 2, 4, 8]},
+        {"blocks": ["2", 1, 1, 1]},
+        {"blocks": [True, 1, 1, 1]},
+        {"channels": [8.0, 16, 32, 64]},
+        {"heads": 2},
+        {"classes": True},
+        {"in_channels": 0},
+        {"lce": "no"},
+        {"name": 7},
+        {"window": [True, 3]},
+        {"stage_overrides": [3, None, None, None]},
+        {"stage_overrides": 5},
+    ]
+    for patch in bad:
+        with pytest.raises(ConfigError):
+            config_from_dict({**d, **patch})
 
 
 def test_config_hash_separates_configs():
@@ -235,6 +256,29 @@ def test_forward_rejects_bad_geometry():
     for shape in [(3, 28, 28), (3, 34, 32), (3, 32, 30), (4, 32, 32), (3, 32)]:
         with pytest.raises(ShapeError):
             model_forward(np.zeros(shape, dtype=np.float32), params, cfg)
+
+
+def test_forward_rejects_non_finite_image():
+    cfg = tiny_config()
+    params = build_model(cfg, Rng(1))
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.zeros((3, 32, 32), dtype=np.float32)
+        x[1, 5, 7] = bad
+        with pytest.raises(NumericError, match="input image"):
+            model_forward(x, params, cfg)
+
+
+def test_forward_rejects_image_of_another_dtype():
+    cfg = tiny_config()
+    params = build_model(cfg, Rng(1))
+    for dtype in (np.float64, np.float16, np.uint8):
+        with pytest.raises(DTypeError, match="input image"):
+            model_forward(np.zeros((3, 32, 32), dtype=dtype), params, cfg)
+    params64 = build_model(cfg, Rng(1), dtype=np.float64)
+    with pytest.raises(DTypeError):
+        model_forward(np.zeros((3, 32, 32), dtype=np.float32), params64, cfg)
+    logits = model_forward(np.zeros((3, 32, 32)), params64, cfg)
+    assert logits.dtype == np.float64
 
 
 def test_forward_is_deterministic():
