@@ -84,15 +84,12 @@ from .model import (
     param_items,
 )
 from .oracle import (
-    IndexSet,
-    aoi_set,
     dense_attention,
     fd_gradient,
     oracle_kernel,
     oracle_s3a,
-    rwin_set,
 )
 from .report import ReportNode
-from .tensor import DTYPES, Rng, map2, randn, tensor_new
+from .tensor import DTYPES, Rng, randn
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .layer import S3AConfig, init_s3a_params, s3a_flops, s3a_forward
-from .model import ModelConfig, build_model, count_flops, model_forward, stage_sides
+from .model import ModelConfig, build_model, count_flops, model_forward
 from .tensor import Rng
 
 SCALING_BOUND = 2.0
@@ -70,23 +70,6 @@ def bench_model(cfg: ModelConfig, H: int, W: int, repeats: int, seed: int, dtype
     return entry
 
 
-def bench_stages(cfg: ModelConfig, H: int, W: int, repeats: int, seed: int, dtype) -> list[dict]:
-    """Isolated attention-layer timing at each stage's geometry."""
-    if repeats < 3:
-        raise ConfigError(f"repeats must be >= 3, got {repeats}")
-    g = np.random.Generator(np.random.Philox(seed + 2))
-    entries = []
-    for i, (sh, sw) in enumerate(stage_sides(H, W)):
-        scfg = cfg.stage_s3a(i)
-        params = init_s3a_params(scfg, Rng(seed + 10 + i), dtype=dtype)
-        x = g.normal(size=(scfg.channels, sh, sw)).astype(dtype)
-        samples = _time_call(lambda: s3a_forward(x, params, scfg), repeats)
-        entry = _stats(samples, s3a_flops(scfg, sh, sw))
-        entry.update({"stage": i + 1, "feature_hw": [sh, sw], "channels": scfg.channels})
-        entries.append(entry)
-    return entries
-
-
 def bench_scaling(repeats: int = 5, seed: int = 0, dtype=np.float32) -> dict:
     """Per-token layer time across shrinking maps at fixed width.
 
@@ -129,7 +112,6 @@ def run_bench(cfg: ModelConfig, H: int, W: int, repeats: int, seed: int, dtype) 
     """The full benchmark document emitted by the CLI."""
     return {
         "model_forward": bench_model(cfg, H, W, repeats, seed, dtype),
-        "s3a_stages": bench_stages(cfg, H, W, repeats, seed, dtype),
         "scaling": bench_scaling(repeats, seed, dtype),
         "note": SCOPE_NOTE,
     }

@@ -59,15 +59,12 @@ def conv2d(
     b: np.ndarray | None = None,
     stride: int = 1,
     padding: int = 0,
-    groups: int = 1,
 ) -> np.ndarray:
-    """2D convolution of a [Cin, H, W] map with [Cout, Cin/groups, kh, kw] filters."""
-    if x.ndim != 3 or w.ndim != 4:
-        raise ShapeError(f"conv2d expects x [Cin,H,W] and w [Cout,Cin/g,kh,kw], got {x.shape}, {w.shape}")
+    """Dense 2D convolution of a [Cin, H, W] map with [Cout, Cin, kh, kw] filters."""
+    if x.ndim != 3 or w.ndim != 4 or w.shape[1] != x.shape[0]:
+        raise ShapeError(f"conv2d expects x [Cin,H,W] and w [Cout,Cin,kh,kw], got {x.shape}, {w.shape}")
     cin, H, W = x.shape
-    cout, cig, kh, kw = w.shape
-    if groups < 1 or cin % groups or cout % groups or cig != cin // groups:
-        raise ShapeError(f"groups={groups} incompatible with Cin={cin}, Cout={cout}, w {w.shape}")
+    cout, _, kh, kw = w.shape
     oh = (H + 2 * padding - kh) // stride + 1
     ow = (W + 2 * padding - kw) // stride + 1
     if oh < 1 or ow < 1:
@@ -76,29 +73,11 @@ def conv2d(
     if padding:
         xp = np.zeros((cin, H + 2 * padding, W + 2 * padding), dtype=x.dtype)
         xp[:, padding : padding + H, padding : padding + W] = x
-
-    def taps(t: np.ndarray, u: int, v: int) -> np.ndarray:
-        return t[:, u : u + (oh - 1) * stride + 1 : stride, v : v + (ow - 1) * stride + 1 : stride]
-
     out = np.zeros((cout, oh, ow), dtype=x.dtype)
-    if groups == 1:
-        for u in range(kh):
-            for v in range(kw):
-                out += np.tensordot(w[:, :, u, v], taps(xp, u, v), axes=([1], [0]))
-    elif groups == cin and cout == cin:
-        for u in range(kh):
-            for v in range(kw):
-                out += w[:, 0, u, v][:, None, None] * taps(xp, u, v)
-    else:
-        cog = cout // groups
-        for gi in range(groups):
-            xg = xp[gi * cig : (gi + 1) * cig]
-            wg = w[gi * cog : (gi + 1) * cog]
-            for u in range(kh):
-                for v in range(kw):
-                    out[gi * cog : (gi + 1) * cog] += np.tensordot(
-                        wg[:, :, u, v], taps(xg, u, v), axes=([1], [0])
-                    )
+    for u in range(kh):
+        for v in range(kw):
+            taps = xp[:, u : u + (oh - 1) * stride + 1 : stride, v : v + (ow - 1) * stride + 1 : stride]
+            out += np.tensordot(w[:, :, u, v], taps, axes=([1], [0]))
     if b is not None:
         out += b[:, None, None]
     return out

@@ -25,6 +25,7 @@ from .blocks import (
     ssvit_block,
 )
 from .errors import (
+    ConfigError,
     MagicError,
     ManifestError,
     PayloadSizeError,
@@ -656,6 +657,8 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run the named suites (all by default) and collect their results."""
     names = list(CHECKS) if not names else names
+    if cases is not None and cases < 1:
+        raise ConfigError(f"cases must be >= 1, got {cases}")
     tols = tols or {}
     results = []
     for name in names:

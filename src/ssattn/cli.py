@@ -115,6 +115,8 @@ def _cmd_describe(args, parser) -> int:
 
 
 def _cmd_check(args, parser) -> int:
+    if args.cases is not None and args.cases < 1:
+        parser.error(f"--cases must be >= 1, got {args.cases}")
     names = args.suite or list(CHECKS)
     tols = dict(args.tol or [])
     results = run_checks(names, seed=args.seed, cases=args.cases, tols=tols)

@@ -26,7 +26,7 @@ class NumericError(SSAttnError):
 
 
 class StateError(SSAttnError):
-    """Missing, incomplete, or already-consumed saved activations."""
+    """A parameter state to load lacks expected entries or has extra ones."""
 
 
 class ConfigError(SSAttnError):

@@ -203,9 +203,10 @@ def load_model_checkpoint(path: str) -> tuple[ModelConfig, ModelParams]:
     if "config" not in meta:
         raise ManifestError("checkpoint meta lacks an embedded config")
     cfg = config_from_dict(meta["config"])
-    dtype = _NATIVE.get(meta.get("dtype", "f32"))
+    tag = meta.get("dtype", "f32")
+    dtype = _NATIVE.get(tag) if isinstance(tag, str) else None
     if dtype is None:
-        raise ManifestError(f"checkpoint meta dtype malformed: {meta.get('dtype')!r}")
+        raise ManifestError(f"checkpoint meta dtype malformed: {tag!r}")
     params = build_model(cfg, Rng(0), dtype=dtype)
     expected = [name for name, _ in param_items(params)]
     missing = [name for name in expected if name not in tensors]

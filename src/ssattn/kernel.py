@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigError, EmptyDomainError, NumericError, ShapeError, StateError
+from .errors import ConfigError, EmptyDomainError, NumericError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -179,11 +179,6 @@ def kernel_forward(
 
 def kernel_backward(grads_out: np.ndarray, saved: KernelSaved) -> dict[str, np.ndarray]:
     """Analytic gradients of the scores -> softmax -> aggregate composite."""
-    if saved is None:
-        raise StateError("kernel_backward called without saved state")
-    for field in ("q", "k", "v", "attn", "spec"):
-        if getattr(saved, field, None) is None:
-            raise StateError(f"saved state is missing '{field}'")
     q, k, v, attn, spec, scale = (
         saved.q, saved.k, saved.v, saved.attn, saved.spec, saved.scale,
     )

@@ -20,15 +20,14 @@ the LCE branch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, StateError
+from .errors import ConfigError, ShapeError
 from .kernel import (
     KernelSaved,
     NeighborhoodSpec,
-    effective_kernel,
     kernel_backward,
     kernel_flops,
     kernel_forward,
@@ -73,8 +72,11 @@ class S3AConfig:
     lce: bool = True
 
     def __post_init__(self):
-        if self.channels < 1 or self.heads < 1:
-            raise ConfigError(f"channels/heads must be >= 1, got {self.channels}/{self.heads}")
+        for v in (self.channels, self.heads):
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                raise ConfigError(f"channels/heads must be ints >= 1, got {self.channels!r}/{self.heads!r}")
+        if not isinstance(self.lce, bool):
+            raise ConfigError(f"lce must be a bool, got {self.lce!r}")
         if self.channels % self.heads:
             raise ConfigError(f"channels {self.channels} not divisible by heads {self.heads}")
         object.__setattr__(self, "window", _pair(self.window, "window", odd=True))
@@ -201,7 +203,6 @@ class S3ASaved:
     saved2: KernelSaved
     params: S3AParams
     scale: float
-    consumed: bool = field(default=False)
 
 
 def s3a_forward(
@@ -247,11 +248,8 @@ def s3a_forward(
 def s3a_backward(grad_out: np.ndarray, saved: S3ASaved) -> dict[str, np.ndarray]:
     """Gradients w.r.t. the input and every parameter tensor.
 
-    Saved state is single-use: a second call on the same state raises.
+    The saved state is only read, so repeated calls return equal grads.
     """
-    if saved is None or getattr(saved, "consumed", True):
-        raise StateError("backward needs fresh saved state from a forward call")
-    saved.consumed = True
     cfg, params = saved.cfg, saved.params
     C, H, W = saved.x.shape
     if grad_out.shape != saved.x.shape:
@@ -308,12 +306,3 @@ def s3a_attention_flops(cfg: S3AConfig, H: int, W: int) -> int:
     spec1 = NeighborhoodSpec(cfg.window)
     spec2 = NeighborhoodSpec(cfg.anchors, resolved_strides(cfg, H, W))
     return kernel_flops(H, W, heads, dh, spec1) + kernel_flops(H, W, heads, dh, spec2)
-
-
-def effective_anchor_counts(cfg: S3AConfig, H: int, W: int) -> tuple[int, int]:
-    """Realized per-axis anchor counts after clamping on an H x W map."""
-    sh, sw = resolved_strides(cfg, H, W)
-    return (
-        effective_kernel(cfg.anchors[0], H, sh),
-        effective_kernel(cfg.anchors[1], W, sw),
-    )

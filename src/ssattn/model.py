@@ -278,7 +278,10 @@ def param_items(params: ModelParams) -> list[tuple[str, np.ndarray]]:
 
 
 def load_state(params: ModelParams, tensors: dict[str, np.ndarray]) -> None:
-    """Copy named tensors into an allocated model, strictly and in place."""
+    """Copy named tensors into an allocated model, strictly and in place.
+
+    Every tensor must match its parameter's shape and dtype; none is cast.
+    """
     expected = param_items(params)
     seen = set()
     for path, arr in expected:
@@ -287,6 +290,8 @@ def load_state(params: ModelParams, tensors: dict[str, np.ndarray]) -> None:
         src = tensors[path]
         if tuple(src.shape) != tuple(arr.shape):
             raise ShapeError(f"parameter {path!r}: stored shape {src.shape} != expected {arr.shape}")
+        if src.dtype != arr.dtype:
+            raise DTypeError(f"parameter {path!r}: stored dtype {src.dtype} != expected {arr.dtype}")
         arr[...] = src
         seen.add(path)
     extra = set(tensors) - seen

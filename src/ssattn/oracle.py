@@ -11,7 +11,6 @@ agreement between the two is evidence, not tautology.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,44 +38,8 @@ def axis_points(center: int, side: int, k: int, d: int = 1) -> list[int]:
     return pts
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """Neighborhood membership: coordinate set plus its role."""
-
-    members: frozenset[tuple[int, int]]
-    provenance: str  # "AoI" or "RWin"
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(sorted(self.members))
-
-    def __contains__(self, item) -> bool:
-        return item in self.members
-
-
 def _pair(value) -> tuple[int, int]:
     return (value, value) if isinstance(value, int) else (value[0], value[1])
-
-
-def rwin_set(m: int, n: int, H: int, W: int, window) -> IndexSet:
-    """Local-window membership (dilation 1) for the site at (m, n)."""
-    wh, ww = _pair(window)
-    members = frozenset(
-        (i, j) for i in axis_points(m, H, wh, 1) for j in axis_points(n, W, ww, 1)
-    )
-    return IndexSet(members, "RWin")
-
-
-def aoi_set(i: int, j: int, H: int, W: int, anchors, stride) -> IndexSet:
-    """Anchor-of-interest membership for the query at (i, j)."""
-    ah, aw = _pair(anchors)
-    sh, sw = _pair(stride)
-    members = frozenset(
-        (p, r) for p in axis_points(i, H, ah, sh) for r in axis_points(j, W, aw, sw)
-    )
-    return IndexSet(members, "AoI")
 
 
 def oracle_kernel(

@@ -29,15 +29,6 @@ class ReportNode:
             return sum(c.total() for c in self.children)
         return self.value if self.value is not None else 0
 
-    def find(self, name: str) -> "ReportNode | None":
-        if self.name == name:
-            return self
-        for c in self.children:
-            hit = c.find(name)
-            if hit is not None:
-                return hit
-        return None
-
     def to_dict(self) -> dict:
         d: dict = {"name": self.name, "total": self.total()}
         if self.children:

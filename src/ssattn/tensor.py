@@ -2,8 +2,8 @@
 
 Values are plain C-contiguous numpy arrays in float32 (the library
 default) or float64 (used by the oracles and gradient checks). This
-module pins down construction, elementwise combination, and random
-initialization; everything else in the package builds on these arrays.
+module pins down the dtypes and random initialization; everything
+else in the package builds on these arrays.
 
 Randomness comes from numpy's Philox bit generator, a documented
 counter-based PRNG: a given 64-bit seed yields the same draw sequence
@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import ShapeError, SizeError
+from .errors import SizeError
 
 F32 = np.dtype(np.float32)
 F64 = np.dtype(np.float64)
@@ -51,29 +51,7 @@ def _checked_shape(shape) -> tuple[int, ...]:
     return dims
 
 
-def tensor_new(shape, fill: float = 0.0, dtype=DEFAULT_DTYPE) -> np.ndarray:
-    """Allocate a row-major tensor of `shape` with every element == fill."""
-    dims = _checked_shape(shape)
-    return np.full(dims, fill, dtype=np.dtype(dtype))
-
-
 def randn(shape, rng: Rng, std: float = 1.0, dtype=DEFAULT_DTYPE) -> np.ndarray:
     """I.i.d. normal(0, std^2) samples; reproducible for a given seed."""
     dims = _checked_shape(shape)
     return rng.normal(dims, std=std, dtype=dtype)
-
-
-def map2(a: np.ndarray, b: np.ndarray, f) -> np.ndarray:
-    """Elementwise f(a, b) over same-shape tensors.
-
-    `f` may be a numpy ufunc (applied directly) or any binary scalar
-    function (applied pointwise).
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"map2 operands differ: {a.shape} vs {b.shape}")
-    if isinstance(f, np.ufunc):
-        return f(a, b)
-    out = np.frompyfunc(f, 2, 1)(a, b)
-    return out.astype(np.result_type(a, b))

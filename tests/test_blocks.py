@@ -28,7 +28,7 @@ from ssattn.blocks import (
     stem_param_count,
 )
 from ssattn.errors import ConfigError, ShapeError
-from ssattn.layer import S3AConfig, S3AParams
+from ssattn.layer import S3AConfig, S3AParams, depthwise_forward
 from ssattn.oracle import oracle_s3a
 from ssattn.tensor import Rng
 
@@ -125,10 +125,8 @@ def test_conv2d_matches_reference_over_many_geometries():
     g = gen(82)
     checked = 0
     while checked < 100:
-        groups = int(g.choice([1, 1, 2, 4]))
-        cig = int(g.integers(1, 4))
-        cog = int(g.integers(1, 4))
-        cin, cout = groups * cig, groups * cog
+        cin = int(g.integers(1, 8))
+        cout = int(g.integers(1, 8))
         kh, kw = int(g.choice([1, 3])), int(g.choice([1, 3]))
         stride = int(g.choice([1, 2]))
         padding = int(g.choice([0, 1, 2]))
@@ -137,23 +135,25 @@ def test_conv2d_matches_reference_over_many_geometries():
         if (H + 2 * padding - kh) // stride + 1 < 1:
             continue
         x = g.normal(size=(cin, H, W))
-        w = g.normal(size=(cout, cig, kh, kw))
+        w = g.normal(size=(cout, cin, kh, kw))
         b = g.normal(size=cout) if checked % 2 else None
-        fast = conv2d(x, w, b=b, stride=stride, padding=padding, groups=groups)
-        slow = conv_ref(x, w, b=b, stride=stride, padding=padding, groups=groups)
+        fast = conv2d(x, w, b=b, stride=stride, padding=padding)
+        slow = conv_ref(x, w, b=b, stride=stride, padding=padding)
         assert fast.shape == slow.shape
-        assert np.abs(fast - slow).max() <= 1e-6, (cin, cout, kh, kw, stride, padding, groups)
+        assert np.abs(fast - slow).max() <= 1e-6, (cin, cout, kh, kw, stride, padding)
         checked += 1
 
 
-def test_conv2d_depthwise_path_matches_reference():
+def test_depthwise_forward_matches_conv_reference():
     g = gen(83)
     C = 5
     x = g.normal(size=(C, 6, 7))
-    w = g.normal(size=(C, 1, 3, 3))
-    fast = conv2d(x, w, stride=1, padding=1, groups=C)
-    slow = conv_ref(x, w, stride=1, padding=1, groups=C)
-    assert np.abs(fast - slow).max() <= 1e-10
+    for k in (3, 5):
+        filt = g.normal(size=(C, k, k))
+        bias = g.normal(size=C)
+        fast = depthwise_forward(x, filt, bias)
+        slow = conv_ref(x, filt[:, None], b=bias, stride=1, padding=k // 2, groups=C)
+        assert np.abs(fast - slow).max() <= 1e-10, k
 
 
 def test_conv2d_delta_kernel_is_identity():
@@ -178,9 +178,11 @@ def test_conv2d_box_filter_counts_neighbors():
 
 def test_conv2d_shape_guards():
     with pytest.raises(ShapeError):
-        conv2d(np.zeros((2, 4, 4)), np.zeros((3, 1, 3, 3)), groups=2)  # cout % groups
+        conv2d(np.zeros((2, 4, 4)), np.zeros((2, 1, 3, 3)))  # w.shape[1] != Cin
     with pytest.raises(ShapeError):
-        conv2d(np.zeros((2, 4, 4)), np.zeros((4, 2, 3, 3)), groups=2)  # cig mismatch
+        conv2d(np.zeros((2, 4, 4)), np.zeros((4, 3, 3, 3)))  # w.shape[1] != Cin
+    with pytest.raises(ShapeError):
+        conv2d(np.zeros((2, 4, 4)), np.zeros((2, 2, 3)))  # w is not 4-D
     with pytest.raises(ShapeError):
         conv2d(np.zeros((2, 2, 2)), np.zeros((2, 2, 5, 5)))  # kernel does not fit
 

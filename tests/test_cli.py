@@ -7,7 +7,7 @@ import pytest
 
 import ssattn.kernel as kernel_mod
 from ssattn.bench import SCOPE_NOTE, bench_model
-from ssattn.checks import tiny_config
+from ssattn.checks import run_checks, tiny_config
 from ssattn.cli import main
 from ssattn.errors import ConfigError
 from ssattn.io import save_checkpoint, save_model_checkpoint, save_tensor, load_tensor
@@ -140,6 +140,17 @@ def test_check_unknown_suite_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_check_rejects_nonpositive_cases(capsys):
+    for cases in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--suite", "params", "--cases", cases])
+        assert exc.value.code == 2
+        assert "--cases" in capsys.readouterr().err
+    for cases in (0, -3):
+        with pytest.raises(ConfigError):
+            run_checks(["params"], cases=cases)
+
+
 def test_check_detects_mutated_lattice(monkeypatch, capsys):
     # a deliberate off-by-one in the fast path must trip the oracle suite
     orig = kernel_mod.clamped_lattice
@@ -180,9 +191,10 @@ def test_bench_emits_well_formed_report(tmp_path, capsys):
     assert fwd["min_s"] <= fwd["median_s"] <= max(fwd["samples_s"])
     assert fwd["flops"] > 0
     assert fwd["macs_per_s"] > 0
-    assert len(doc["s3a_stages"]) == 4
-    for entry in doc["s3a_stages"]:
-        assert entry["median_s"] > 0
+    assert set(doc) == {
+        "command", "config", "config_hash", "resolution", "repeats", "seed",
+        "dtype", "mac_convention", "model_forward", "scaling", "note",
+    }
     scaling = doc["scaling"]
     assert [p["side"] for p in scaling["points"]] == [56, 28, 14]
     for p in scaling["points"]:

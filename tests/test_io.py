@@ -8,6 +8,7 @@ import pytest
 
 from ssattn.checks import tiny_config
 from ssattn.errors import (
+    DTypeError,
     FormatError,
     MagicError,
     ManifestError,
@@ -216,3 +217,32 @@ def test_model_checkpoint_rejects_missing_config(tmp_path):
     save_checkpoint(str(path), [("a", np.zeros(2, dtype=np.float32))], meta={"dtype": "f32"})
     with pytest.raises(ManifestError):
         load_model_checkpoint(str(path))
+
+
+def test_model_checkpoint_rejects_non_string_dtype_meta(tmp_path):
+    cfg = tiny_config()
+    items = param_items(build_model(cfg, Rng(12)))
+    for tag in (["f32"], {"f32": 1}, 32):
+        path = tmp_path / "tag.ssc"
+        save_checkpoint(str(path), items, meta={"config": config_to_dict(cfg), "dtype": tag})
+        with pytest.raises(ManifestError):
+            load_model_checkpoint(str(path))
+
+
+def test_model_checkpoint_rejects_tensors_of_another_dtype(tmp_path):
+    cfg = tiny_config()
+    items = param_items(build_model(cfg, Rng(13)))
+    meta = {"config": config_to_dict(cfg), "dtype": "f32"}
+    # every tensor f64 under an f32 declaration
+    path = tmp_path / "all64.ssc"
+    save_checkpoint(str(path), [(n, a.astype(np.float64)) for n, a in items], meta=meta)
+    with pytest.raises(DTypeError) as err:
+        load_model_checkpoint(str(path))
+    assert items[0][0] in str(err.value)
+    # a single f64 tensor among f32 ones is named by its path
+    path = tmp_path / "one64.ssc"
+    mixed = [(n, a.astype(np.float64) if n == "stage3.block1.s3a.w_out" else a) for n, a in items]
+    save_checkpoint(str(path), mixed, meta=meta)
+    with pytest.raises(DTypeError) as err:
+        load_model_checkpoint(str(path))
+    assert "stage3.block1.s3a.w_out" in str(err.value)

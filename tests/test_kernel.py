@@ -7,7 +7,6 @@ from ssattn.errors import (
     EmptyDomainError,
     NumericError,
     ShapeError,
-    StateError,
 )
 from ssattn.kernel import (
     NeighborhoodSpec,
@@ -323,14 +322,9 @@ def test_backward_state_guards():
     g = gen(33)
     q = g.normal(size=(1, 2, 2, 2))
     _, saved = kernel_forward(q, q, q, NeighborhoodSpec((3, 3)))
-    with pytest.raises(StateError):
-        kernel_backward(np.zeros_like(q), None)
-    saved.attn = None
-    with pytest.raises(StateError):
-        kernel_backward(np.zeros_like(q), saved)
-    _, saved2 = kernel_forward(q, q, q, NeighborhoodSpec((3, 3)))
+    # the cotangent must match the saved values
     with pytest.raises(ShapeError):
-        kernel_backward(np.zeros((1, 2, 2, 3)), saved2)
+        kernel_backward(np.zeros((1, 2, 2, 3)), saved)
 
 
 # ---------------------------------------------------------------------------

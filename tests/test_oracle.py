@@ -1,20 +1,16 @@
-"""Reference-side contracts: point sets, brute-force attention, and FD."""
+"""Reference-side contracts: axis lattices, brute-force attention, and FD."""
 import numpy as np
 import pytest
 
 from ssattn.errors import EmptyDomainError, NumericError
-from ssattn.kernel import NeighborhoodSpec, kernel_forward
 from ssattn.layer import S3AConfig, init_s3a_params, s3a_forward
 from ssattn.oracle import (
-    IndexSet,
-    aoi_set,
     axis_points,
     dense_attention,
     fd_gradient,
     oracle_kernel,
     oracle_lce,
     oracle_s3a,
-    rwin_set,
 )
 from ssattn.tensor import Rng
 
@@ -24,78 +20,56 @@ def gen(seed):
 
 
 # ---------------------------------------------------------------------------
-# point sets
+# axis lattices (a 2D neighborhood is the product of one lattice per axis)
 
 
 def test_interior_anchor_set_is_symmetric():
-    s = aoi_set(28, 28, 56, 56, 7, 8)
-    assert len(s) == 49
-    assert s.provenance == "AoI"
-    rows = sorted({p for p, _ in s.members})
-    cols = sorted({r for _, r in s.members})
-    assert rows == cols == [4, 12, 20, 28, 36, 44, 52]
+    pts = axis_points(28, 56, 7, 8)
+    assert pts == [4, 12, 20, 28, 36, 44, 52]
     # symmetric about the query in the interior
-    assert all(abs(p - 28) <= 24 and abs(r - 28) <= 24 for p, r in s.members)
+    assert all(abs(p - 28) <= 24 for p in pts)
+    assert [28 - p for p in pts] == [p - 28 for p in reversed(pts)]
 
 
 def test_corner_anchor_set_hugs_the_border():
-    s = aoi_set(0, 0, 56, 56, 7, 8)
-    assert len(s) == 49
-    rows = sorted({p for p, _ in s.members})
-    assert rows == [0, 8, 16, 24, 32, 40, 48]
-    assert min(p for p, _ in s.members) == 0
-    assert min(r for _, r in s.members) == 0
+    assert axis_points(0, 56, 7, 8) == [0, 8, 16, 24, 32, 40, 48]
 
 
 def test_single_anchor_is_the_query_itself():
-    for i, j in [(0, 0), (3, 5), (9, 9)]:
-        s = aoi_set(i, j, 10, 10, 1, 4)
-        assert s.members == frozenset({(i, j)})
+    for i in (0, 3, 9):
+        assert axis_points(i, 10, 1, 4) == [i]
 
 
 def test_window_one_is_the_site_itself():
-    s = rwin_set(4, 7, 9, 11, 1)
-    assert s.members == frozenset({(4, 7)})
-    assert s.provenance == "RWin"
+    assert axis_points(4, 9, 1) == [4]
+    assert axis_points(7, 11, 1) == [7]
 
 
 def test_unit_stride_anchors_equal_local_window():
-    for m, n in [(0, 0), (5, 3), (8, 10)]:
-        a = aoi_set(m, n, 9, 11, 5, 1)
-        w = rwin_set(m, n, 9, 11, 5)
-        assert a.members == w.members
+    # stride-1 anchors form a contiguous window that contains the site
+    for m, side in [(0, 9), (5, 9), (8, 9), (3, 11), (10, 11)]:
+        pts = axis_points(m, side, 5, 1)
+        assert pts == list(range(pts[0], pts[0] + 5))
+        assert m in pts
 
 
 def test_point_set_cardinality_is_constant_over_queries():
-    H, W = 13, 7
-    sizes = {len(aoi_set(i, j, H, W, 5, 2)) for i in range(H) for j in range(W)}
-    assert len(sizes) == 1
-    sizes = {len(rwin_set(i, j, H, W, 3)) for i in range(H) for j in range(W)}
-    assert sizes == {9}
+    for side in (13, 7):
+        assert len({len(axis_points(i, side, 5, 2)) for i in range(side)}) == 1
+        assert {len(axis_points(i, side, 3)) for i in range(side)} == {3}
 
 
 def test_point_sets_stay_in_bounds_and_never_duplicate():
     g = gen(50)
     for _ in range(200):
-        H = int(g.integers(1, 15))
-        W = int(g.integers(1, 15))
-        i = int(g.integers(0, H))
-        j = int(g.integers(0, W))
+        side = int(g.integers(1, 15))
+        i = int(g.integers(0, side))
         a = int(g.choice([1, 3, 5, 7]))
         s = int(g.integers(1, 5))
-        pts = aoi_set(i, j, H, W, a, s)
-        listed = list(pts)
-        assert len(listed) == len(set(listed))  # frozenset keeps this tautological
-        assert all(0 <= p < H and 0 <= r < W for p, r in pts)
-        assert (i, j) in rwin_set(i, j, H, W, 3)
-
-
-def test_index_set_protocols():
-    s = IndexSet(frozenset({(1, 2), (0, 0)}), "AoI")
-    assert len(s) == 2
-    assert list(s) == [(0, 0), (1, 2)]
-    assert (1, 2) in s
-    assert (9, 9) not in s
+        pts = axis_points(i, side, a, s)
+        assert len(pts) == len(set(pts))
+        assert all(0 <= p < side for p in pts)
+        assert i in axis_points(i, side, 3, 1)
 
 
 def test_axis_points_rejects_empty_axis():
@@ -104,11 +78,11 @@ def test_axis_points_rejects_empty_axis():
 
 
 def test_pair_arguments_accepted():
-    a = aoi_set(3, 3, 8, 12, (3, 5), (2, 1))
-    rows = sorted({p for p, _ in a.members})
-    cols = sorted({r for _, r in a.members})
-    assert len(rows) == 3
-    assert len(cols) == 5
+    # anchors (3, 5) with strides (2, 1) at (3, 3) on an 8 x 12 map
+    rows = axis_points(3, 8, 3, 2)
+    cols = axis_points(3, 12, 5, 1)
+    assert rows == [1, 3, 5]
+    assert cols == [1, 2, 3, 4, 5]
 
 
 # ---------------------------------------------------------------------------

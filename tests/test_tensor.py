@@ -1,9 +1,9 @@
-"""Tensor constructors, the Philox-backed random source, and map2."""
+"""Dtypes, the Philox-backed random source, and its shape checks."""
 import numpy as np
 import pytest
 
-from ssattn import Rng, map2, randn, tensor_new
-from ssattn.errors import ShapeError, SizeError
+from ssattn import Rng, randn
+from ssattn.errors import SizeError
 from ssattn.tensor import DEFAULT_DTYPE, DTYPES, F32, F64
 
 
@@ -14,28 +14,11 @@ def test_dtype_registry():
     assert DEFAULT_DTYPE == F32
 
 
-def test_tensor_new_defaults():
-    t = tensor_new((2, 3))
-    assert t.shape == (2, 3)
-    assert t.dtype == F32
-    assert t.flags["C_CONTIGUOUS"]
-    assert np.all(t == 0.0)
-
-
-def test_tensor_new_fill_dtype_and_scalar_shape():
-    t = tensor_new((4,), fill=2.5, dtype=F64)
-    assert t.dtype == F64
-    assert np.all(t == 2.5)
-    s = tensor_new((), fill=-1.0)
-    assert s.shape == ()
-    assert float(s) == -1.0
-
-
-def test_tensor_new_rejects_bad_shapes():
+def test_randn_rejects_bad_shapes():
     with pytest.raises(SizeError):
-        tensor_new((2, -1))
+        randn((2, -1), Rng(0))
     with pytest.raises(SizeError):
-        tensor_new((2**40, 2**40))
+        randn((2**40, 2**40), Rng(0))
 
 
 def test_rng_deterministic_per_seed():
@@ -70,40 +53,3 @@ def test_randn_dtype_streams_are_independent_choices():
     a64 = randn((64,), Rng(4), dtype=F64)
     assert a64.dtype == F64
     assert np.isfinite(a64).all()
-
-
-def test_map2_ufunc_paths():
-    rng = Rng(5)
-    a, b = rng.normal((3, 4)), rng.normal((3, 4))
-    assert np.array_equal(map2(a, b, np.add), a + b)
-    assert np.array_equal(map2(a, b, np.multiply), a * b)
-    assert np.array_equal(map2(a, b, np.maximum), np.maximum(a, b))
-
-
-def test_map2_python_callable_fallback():
-    a = np.arange(6, dtype=np.float64).reshape(2, 3)
-    b = np.full((2, 3), 2.0)
-    got = map2(a, b, lambda x, y: x * y + 1.0)
-    assert got.dtype == np.float64
-    assert np.allclose(got, a * b + 1.0)
-
-
-def test_map2_promotes_mixed_precision():
-    a = np.ones((2, 2), dtype=np.float32)
-    b = np.ones((2, 2), dtype=np.float64)
-    assert map2(a, b, np.add).dtype == np.float64
-
-
-def test_map2_shape_mismatch():
-    with pytest.raises(ShapeError):
-        map2(np.zeros((2, 3)), np.zeros((3, 2)), np.add)
-
-
-def test_map2_addition_laws():
-    rng = Rng(9)
-    a, b, c = rng.normal((8, 8)), rng.normal((8, 8)), rng.normal((8, 8))
-    commutator = np.abs(map2(a, b, np.add) - map2(b, a, np.add)).max()
-    assert commutator == 0.0
-    left = map2(map2(a, b, np.add), c, np.add)
-    right = map2(a, map2(b, c, np.add), np.add)
-    assert np.abs(left - right).max() <= 1e-6
