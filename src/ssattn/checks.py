@@ -13,17 +13,11 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .blocks import (
-    BlockParams,
-    CpeParams,
-    FfnParams,
-    LnParams,
-    ssvit_block,
-)
+from .blocks import BlockParams, init_block_params, ssvit_block
 from .errors import (
     ConfigError,
     MagicError,
@@ -50,6 +44,7 @@ from .layer import (
     S3AConfig,
     S3AParams,
     depthwise_forward,
+    init_s3a_params,
     resolved_strides,
     s3a_backward,
     s3a_forward,
@@ -63,6 +58,7 @@ from .model import (
     count_params,
     model_forward,
     param_items,
+    tensor_items,
 )
 from .oracle import axis_points, dense_attention, fd_gradient, oracle_lce, oracle_s3a
 from .tensor import Rng
@@ -96,47 +92,26 @@ class CheckResult:
     detail: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "cases": self.cases,
-            "max_err": self.max_err,
-            "tol": self.tol,
-            "seconds": round(self.seconds, 4),
-            "detail": self.detail,
-        }
+        return {**asdict(self), "passed": bool(self.passed), "seconds": round(self.seconds, 4)}
 
 
 def _gen(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _map_layer(params: S3AParams, fn) -> S3AParams:
+    """Apply fn to every tensor of a layer, in field order; None fields stay None."""
+    return S3AParams(**{k: None if a is None else fn(a) for k, a in vars(params).items()})
+
+
 def _random_layer(cfg: S3AConfig, g: np.random.Generator, dtype, spread: float = 0.35) -> S3AParams:
     """Layer parameters with random weights AND biases, for stress tests."""
-    C = cfg.channels
-
-    def t(*shape):
-        return g.normal(0.0, spread, size=shape).astype(dtype)
-
-    return S3AParams(
-        w_qkv=t(3 * C, C),
-        b_qkv=t(3 * C),
-        w_out=t(C, C),
-        b_out=t(C),
-        lce_filt=t(C, 5, 5) if cfg.lce else None,
-        lce_bias=t(C) if cfg.lce else None,
-    )
+    template = init_s3a_params(cfg, Rng(0), dtype)
+    return _map_layer(template, lambda a: g.normal(0.0, spread, size=a.shape).astype(dtype))
 
 
 def _cast_layer(params: S3AParams, dtype) -> S3AParams:
-    return S3AParams(
-        w_qkv=params.w_qkv.astype(dtype),
-        b_qkv=params.b_qkv.astype(dtype),
-        w_out=params.w_out.astype(dtype),
-        b_out=params.b_out.astype(dtype),
-        lce_filt=None if params.lce_filt is None else params.lce_filt.astype(dtype),
-        lce_bias=None if params.lce_bias is None else params.lce_bias.astype(dtype),
-    )
+    return _map_layer(params, lambda a: a.astype(dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +338,9 @@ def check_gradients(seed: int = 0, cases: int | None = None, tol: float | None =
         out, saved = s3a_forward(x, params, cfg)
         grads = s3a_backward(cot.astype(x.dtype), saved)
 
-        targets = [("x", x64, "grad_x"), ("w_qkv", params64.w_qkv, "grad_w_qkv"),
-                   ("b_qkv", params64.b_qkv, "grad_b_qkv"), ("w_out", params64.w_out, "grad_w_out"),
-                   ("b_out", params64.b_out, "grad_b_out")]
-        if lce:
-            targets += [("lce_filt", params64.lce_filt, "grad_lce_filt"),
-                        ("lce_bias", params64.lce_bias, "grad_lce_bias")]
+        targets = [("x", x64)] + [(k, a) for k, a in vars(params64).items() if a is not None]
         worst = 0.0
-        for name, ref_tensor, grad_key in targets:
+        for name, ref_tensor in targets:
             if name == "x":
                 fd = fd_gradient(lambda t: _layer_objective(t, params64, cfg, cot), ref_tensor, step)
             else:
@@ -378,7 +348,7 @@ def check_gradients(seed: int = 0, cases: int | None = None, tol: float | None =
                     lambda t, _n=name: _layer_objective(x64, replace(params64, **{_n: t}), cfg, cot),
                     ref_tensor, step,
                 )
-            analytic = grads[grad_key].astype(np.float64)
+            analytic = grads[f"grad_{name}"].astype(np.float64)
             rel = float(np.max(np.abs(analytic - fd)) / (np.max(np.abs(fd)) + 1e-12))
             worst = max(worst, rel)
         if single:
@@ -498,17 +468,11 @@ def check_equivariance(seed: int = 0, cases: int | None = None, tol: float | Non
 # criterion: residual identity and shape contract
 
 
-def _zero_block(C: int, cfg: S3AConfig, ratio: int = 3) -> BlockParams:
-    z = lambda *shape: np.zeros(shape, dtype=np.float64)  # noqa: E731
-    return BlockParams(
-        cpe=CpeParams(filt=z(C, 3, 3), bias=z(C)),
-        ln1=LnParams(scale=z(C), shift=z(C)),
-        s3a=S3AParams(w_qkv=z(3 * C, C), b_qkv=z(3 * C), w_out=z(C, C), b_out=z(C),
-                      lce_filt=z(C, 5, 5) if cfg.lce else None,
-                      lce_bias=z(C) if cfg.lce else None),
-        ln2=LnParams(scale=z(C), shift=z(C)),
-        ffn=FfnParams(w1=z(ratio * C, C), b1=z(ratio * C), w2=z(C, ratio * C), b2=z(C)),
-    )
+def _zero_block(cfg: S3AConfig) -> BlockParams:
+    params = init_block_params(cfg, Rng(0), dtype=np.float64)
+    for _, arr in tensor_items("", params):
+        arr[...] = 0.0
+    return params
 
 
 def tiny_config(name: str = "tiny", **overrides) -> ModelConfig:
@@ -530,7 +494,7 @@ def check_identity(seed: int = 0, cases: int | None = None, tol: float | None = 
     for C, H, W, lce in [(4, 5, 7, True), (6, 3, 3, False), (8, 1, 9, True), (2, 6, 6, True)]:
         cfg = S3AConfig(channels=C, heads=1, window=3, anchors=3, stride=1, lce=lce)
         x = g.normal(size=(C, H, W))
-        z = ssvit_block(x, _zero_block(C, cfg), cfg)
+        z = ssvit_block(x, _zero_block(cfg), cfg)
         max_dev = max(max_dev, float(np.max(np.abs(z - x))))
         runs += 1
 

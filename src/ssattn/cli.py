@@ -16,10 +16,11 @@ from dataclasses import replace
 
 from .bench import run_bench
 from .checks import BUDGETS, CHECKS, run_checks
-from .errors import SSAttnError
+from .errors import ShapeError, SSAttnError
 from .io import atomic_write_bytes, load_model_checkpoint, load_tensor, save_tensor
 from .model import (
     MODEL_PRESETS,
+    check_input_sides,
     config_from_dict,
     config_hash,
     config_to_dict,
@@ -41,6 +42,22 @@ def _stride_arg(value: str):
         return int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"stride must be 'auto' or an integer, got {value!r}")
+
+
+def _resolution_arg(value: str) -> int:
+    try:
+        res = int(value)
+        check_input_sides(res, res)
+    except (ValueError, ShapeError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return res
+
+
+def _seed_arg(value: str) -> int:
+    seed = int(value)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _tol_arg(value: str):
@@ -71,14 +88,8 @@ def _resolve_config(args, parser: argparse.ArgumentParser):
             f"unknown config {name!r}: not a preset ({', '.join(sorted(MODEL_PRESETS))}) "
             "and not a readable file"
         )
-    overrides = {}
-    if getattr(args, "window", None) is not None:
-        overrides["window"] = args.window
-    if getattr(args, "anchors", None) is not None:
-        overrides["anchors"] = args.anchors
-    if getattr(args, "stride", None) is not None:
-        overrides["stride"] = args.stride
-    if getattr(args, "no_lce", False):
+    overrides = {k: getattr(args, k) for k in ("window", "anchors", "stride") if getattr(args, k) is not None}
+    if args.no_lce:
         overrides["lce"] = False
     return replace(cfg, **overrides) if overrides else cfg
 
@@ -210,12 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_desc.add_argument("config_pos", nargs="?", metavar="CONFIG", default=None,
                         help="preset name or config JSON path (same as --config)")
     p_desc.add_argument("--config", default=None)
-    p_desc.add_argument("--resolution", type=int, default=224)
+    p_desc.add_argument("--resolution", type=_resolution_arg, default=224)
     neighborhood_flags(p_desc)
     p_desc.add_argument("--out", default=None, help="also write the JSON document here")
 
     p_check = sub.add_parser("check", help="run the numerical validation suites")
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=_seed_arg, default=0)
     p_check.add_argument("--suite", action="append", choices=sorted(CHECKS), default=None,
                          help="suite to run (repeatable; default: all)")
     p_check.add_argument("--cases", type=int, default=None,
@@ -227,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="wall-clock timing with analytic MAC context")
     p_bench.add_argument("config_pos", nargs="?", metavar="CONFIG", default=None)
     p_bench.add_argument("--config", default=None)
-    p_bench.add_argument("--resolution", type=int, default=224)
+    p_bench.add_argument("--resolution", type=_resolution_arg, default=224)
     p_bench.add_argument("--repeats", type=int, default=5)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=_seed_arg, default=0)
     p_bench.add_argument("--dtype", choices=sorted(DTYPES), default="f32")
     neighborhood_flags(p_bench)
     p_bench.add_argument("--out", default=None)

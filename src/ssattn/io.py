@@ -31,6 +31,7 @@ from .errors import (
     MagicError,
     ManifestError,
     PayloadSizeError,
+    StateError,
     TruncatedPayloadError,
 )
 from .model import (
@@ -42,23 +43,22 @@ from .model import (
     load_state,
     param_items,
 )
-from .tensor import Rng
+from .tensor import DTYPES, Rng
 
 TENSOR_MAGIC = b"SSA1"
 CHECKPOINT_MAGIC = b"SSC1"
 
-_DTYPE_TAGS = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
-_NATIVE = {"f32": np.float32, "f64": np.float64}
+# on-disk scalars are little-endian whatever the platform's byte order
+_DTYPE_TAGS = {tag: dt.newbyteorder("<") for tag, dt in DTYPES.items()}
 _MAX_RANK = 64  # numpy's ndarray rank limit
 _MAX_BYTES = np.iinfo(np.intp).max
 
 
 def _tag_of(arr: np.ndarray) -> str:
-    if arr.dtype == np.float32:
-        return "f32"
-    if arr.dtype == np.float64:
-        return "f64"
-    raise FormatError(f"unsupported dtype {arr.dtype}; use float32 or float64")
+    for tag, dt in DTYPES.items():
+        if arr.dtype == dt:
+            return tag
+    raise FormatError(f"unsupported dtype {arr.dtype}; use one of {sorted(DTYPES)}")
 
 
 def atomic_write_bytes(path: str, blob: bytes) -> None:
@@ -116,7 +116,7 @@ def tensor_from_bytes(blob: bytes) -> np.ndarray:
             f"payload holds {len(payload)} bytes, header promises {expected}"
         )
     arr = np.frombuffer(payload, dtype=_DTYPE_TAGS[tag]).reshape(shape)
-    return arr.astype(_NATIVE[tag])  # fresh native-order C-contiguous copy
+    return arr.astype(DTYPES[tag])  # fresh native-order C-contiguous copy
 
 
 def save_tensor(path: str, arr: np.ndarray) -> None:
@@ -204,16 +204,12 @@ def load_model_checkpoint(path: str) -> tuple[ModelConfig, ModelParams]:
         raise ManifestError("checkpoint meta lacks an embedded config")
     cfg = config_from_dict(meta["config"])
     tag = meta.get("dtype", "f32")
-    dtype = _NATIVE.get(tag) if isinstance(tag, str) else None
+    dtype = DTYPES.get(tag) if isinstance(tag, str) else None
     if dtype is None:
         raise ManifestError(f"checkpoint meta dtype malformed: {tag!r}")
     params = build_model(cfg, Rng(0), dtype=dtype)
-    expected = [name for name, _ in param_items(params)]
-    missing = [name for name in expected if name not in tensors]
-    if missing:
-        raise ManifestError(f"checkpoint missing parameter {missing[0]!r}")
-    extra = sorted(set(tensors) - set(expected))
-    if extra:
-        raise ManifestError(f"checkpoint has unexpected parameter {extra[0]!r}")
-    load_state(params, tensors)
+    try:
+        load_state(params, tensors)
+    except StateError as exc:
+        raise ManifestError(f"checkpoint {exc}") from None
     return cfg, params

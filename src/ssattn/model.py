@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -47,7 +47,8 @@ NUM_STAGES = 4
 STEM_STRIDE = 4
 
 
-_OVERRIDE_KEYS = {"window", "anchors", "stride", "lce"}
+# the S3AConfig fields a model config sets for all stages or per stage
+_OVERRIDE_KEYS = {f.name for f in fields(S3AConfig)} - {"channels", "heads"}
 
 
 @dataclass(frozen=True)
@@ -99,12 +100,7 @@ class ModelConfig:
 
     def stage_s3a(self, i: int) -> S3AConfig:
         """Attention configuration of stage i (0-based)."""
-        kw = {
-            "window": self.window,
-            "anchors": self.anchors,
-            "stride": self.stride,
-            "lce": self.lce,
-        }
+        kw = {k: getattr(self, k) for k in _OVERRIDE_KEYS}
         if self.stage_overrides[i]:
             kw.update(self.stage_overrides[i])
         return S3AConfig(channels=self.channels[i], heads=self.heads[i], **kw)
@@ -160,18 +156,25 @@ def stage_sides(H: int, W: int) -> list[tuple[int, int]]:
     return sides
 
 
+def check_input_sides(H: int, W: int) -> None:
+    """Reject an input geometry the backbone cannot run.
+
+    Sides must be at least 32 and divisible by 4 so that every stage has
+    a nonempty feature map of predictable extent.
+    """
+    if min(H, W) < 32 or H % 4 or W % 4:
+        raise ShapeError(f"input sides must be >= 32 and divisible by 4, got {H}x{W}")
+
+
 def model_forward(x: np.ndarray, params: ModelParams, cfg: ModelConfig) -> np.ndarray:
     """Classify one [in_channels, H, W] image; returns [classes] logits.
 
-    Input sides must be at least 32 and divisible by 4 so that every
-    stage has a nonempty feature map of predictable extent. The image
-    must be finite and have the parameters' dtype; it is never cast.
+    The sides must pass `check_input_sides`. The image must be finite
+    and have the parameters' dtype; it is never cast.
     """
     if x.ndim != 3 or x.shape[0] != cfg.in_channels:
         raise ShapeError(f"expected [{cfg.in_channels}, H, W] input, got shape {x.shape}")
-    for side in (x.shape[1], x.shape[2]):
-        if side < 32 or side % 4:
-            raise ShapeError(f"input sides must be >= 32 and divisible by 4, got {x.shape[1]}x{x.shape[2]}")
+    check_input_sides(x.shape[1], x.shape[2])
     if x.dtype != params.head.w.dtype:
         raise DTypeError(f"input image is {x.dtype} but the parameters are {params.head.w.dtype}")
     if not np.isfinite(x).all():
@@ -237,44 +240,28 @@ def count_flops(cfg: ModelConfig, H: int, W: int) -> ReportNode:
     return root
 
 
+def tensor_items(prefix: str, node) -> list[tuple[str, np.ndarray]]:
+    """(path, tensor) pairs of a parameter dataclass, in field order.
+
+    A field's path extends `prefix` by its name; None fields (a disabled
+    LCE branch) are skipped.
+    """
+    if node is None:
+        return []
+    if isinstance(node, np.ndarray):
+        return [(prefix, node)]
+    return [item for f in fields(node) for item in tensor_items(f"{prefix}.{f.name}", getattr(node, f.name))]
+
+
 def param_items(params: ModelParams) -> list[tuple[str, np.ndarray]]:
     """Deterministic (path, tensor) listing of every learnable tensor."""
-    items: list[tuple[str, np.ndarray]] = []
-    for i, conv in enumerate(params.stem.convs, start=1):
-        items.append((f"stem.conv{i}.w", conv.w))
-        items.append((f"stem.conv{i}.bn_scale", conv.bn_scale))
-        items.append((f"stem.conv{i}.bn_shift", conv.bn_shift))
+    groups = [(f"stem.conv{i}", conv) for i, conv in enumerate(params.stem.convs, start=1)]
     for si, blocks in enumerate(params.stages, start=1):
-        for bi, bp in enumerate(blocks, start=1):
-            base = f"stage{si}.block{bi}"
-            items.append((f"{base}.cpe.filt", bp.cpe.filt))
-            items.append((f"{base}.cpe.bias", bp.cpe.bias))
-            items.append((f"{base}.ln1.scale", bp.ln1.scale))
-            items.append((f"{base}.ln1.shift", bp.ln1.shift))
-            items.append((f"{base}.s3a.w_qkv", bp.s3a.w_qkv))
-            items.append((f"{base}.s3a.b_qkv", bp.s3a.b_qkv))
-            items.append((f"{base}.s3a.w_out", bp.s3a.w_out))
-            items.append((f"{base}.s3a.b_out", bp.s3a.b_out))
-            if bp.s3a.lce_filt is not None:
-                items.append((f"{base}.s3a.lce_filt", bp.s3a.lce_filt))
-                items.append((f"{base}.s3a.lce_bias", bp.s3a.lce_bias))
-            items.append((f"{base}.ln2.scale", bp.ln2.scale))
-            items.append((f"{base}.ln2.shift", bp.ln2.shift))
-            items.append((f"{base}.ffn.w1", bp.ffn.w1))
-            items.append((f"{base}.ffn.b1", bp.ffn.b1))
-            items.append((f"{base}.ffn.w2", bp.ffn.w2))
-            items.append((f"{base}.ffn.b2", bp.ffn.b2))
-        if si <= NUM_STAGES - 1:
-            dp = params.downsamples[si - 1]
-            items.append((f"downsample{si}.w", dp.w))
-            items.append((f"downsample{si}.b", dp.b))
-            items.append((f"downsample{si}.ln.scale", dp.ln.scale))
-            items.append((f"downsample{si}.ln.shift", dp.ln.shift))
-    items.append(("head.ln.scale", params.head.ln.scale))
-    items.append(("head.ln.shift", params.head.ln.shift))
-    items.append(("head.w", params.head.w))
-    items.append(("head.b", params.head.b))
-    return items
+        groups += [(f"stage{si}.block{bi}", bp) for bi, bp in enumerate(blocks, start=1)]
+        if si < NUM_STAGES:
+            groups.append((f"downsample{si}", params.downsamples[si - 1]))
+    groups.append(("head", params.head))
+    return [item for prefix, node in groups for item in tensor_items(prefix, node)]
 
 
 def load_state(params: ModelParams, tensors: dict[str, np.ndarray]) -> None:
@@ -309,21 +296,9 @@ def _jsonable(value):
 
 def config_to_dict(cfg: ModelConfig) -> dict:
     """JSON-friendly form of a configuration (tuples become lists)."""
-    d = {
-        "name": cfg.name,
-        "blocks": list(cfg.blocks),
-        "channels": list(cfg.channels),
-        "heads": list(cfg.heads),
-        "ffn_ratio": cfg.ffn_ratio,
-        "window": _jsonable(cfg.window),
-        "anchors": _jsonable(cfg.anchors),
-        "stride": _jsonable(cfg.stride),
-        "lce": cfg.lce,
-        "classes": cfg.classes,
-        "in_channels": cfg.in_channels,
-    }
-    if any(ov for ov in cfg.stage_overrides):
-        d["stage_overrides"] = _jsonable(cfg.stage_overrides)
+    d = {f.name: _jsonable(getattr(cfg, f.name)) for f in fields(cfg)}
+    if not any(cfg.stage_overrides):
+        del d["stage_overrides"]
     return d
 
 
@@ -337,14 +312,10 @@ def config_from_dict(d: dict) -> ModelConfig:
     """Validate and build a configuration from its dict form."""
     if not isinstance(d, dict):
         raise ConfigError(f"config must be a mapping, got {type(d).__name__}")
-    known = {
-        "name", "blocks", "channels", "heads", "ffn_ratio", "window",
-        "anchors", "stride", "lce", "classes", "in_channels", "stage_overrides",
-    }
-    unknown = set(d) - known
+    unknown = set(d) - {f.name for f in fields(ModelConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    missing = {"name", "blocks", "channels", "heads"} - set(d)
+    missing = {f.name for f in fields(ModelConfig) if f.default is MISSING} - set(d)
     if missing:
         raise ConfigError(f"config missing keys {sorted(missing)}")
     return ModelConfig(**{k: _detuple(v) for k, v in d.items()})

@@ -74,6 +74,22 @@ def test_describe_config_file_with_overrides(tmp_path, capsys):
     assert doc["config"]["name"] == "tiny"
 
 
+@pytest.mark.parametrize("argv", [
+    ["describe", "--resolution", "3"],
+    ["describe", "--resolution", "-4"],
+    ["describe", "--resolution", "34"],
+    ["bench", "--resolution", "30"],
+    ["bench", "--seed", "-1"],
+    ["check", "--suite", "oracle", "--seed", "-5"],
+])
+def test_resolution_or_seed_the_model_cannot_use_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert argv[-2] in err and "Traceback" not in err
+
+
 def test_describe_out_file_matches_stdout(tmp_path, capsys):
     out = tmp_path / "report.json"
     doc, _ = run_cli(capsys, ["describe", "--out", str(out)])

@@ -212,6 +212,17 @@ def test_model_checkpoint_missing_tensor_names_the_path(tmp_path):
     assert "stage2.block1.ffn.w1" in str(err.value)
 
 
+def test_model_checkpoint_extra_tensor_names_the_path(tmp_path):
+    cfg = tiny_config()
+    items = param_items(build_model(cfg, Rng(11)))
+    items.append(("stage2.block1.ffn.w3", np.zeros(3, dtype=np.float32)))
+    path = tmp_path / "extra.ssc"
+    save_checkpoint(str(path), items, meta={"config": config_to_dict(cfg), "dtype": "f32"})
+    with pytest.raises(ManifestError) as err:
+        load_model_checkpoint(str(path))
+    assert "stage2.block1.ffn.w3" in str(err.value)
+
+
 def test_model_checkpoint_rejects_missing_config(tmp_path):
     path = tmp_path / "noconf.ssc"
     save_checkpoint(str(path), [("a", np.zeros(2, dtype=np.float32))], meta={"dtype": "f32"})

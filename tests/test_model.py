@@ -1,8 +1,12 @@
 """Backbone assembly: configs, presets, counters, forward, state dict."""
 import gc
+import hashlib
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssattn.checks import tiny_config
 from ssattn.errors import ConfigError, DTypeError, NumericError, ShapeError, StateError
@@ -132,6 +136,33 @@ def test_config_from_dict_rejects_mistyped_fields():
             config_from_dict({**d, **patch})
 
 
+# a config field's value: JSON scalars, lists and override-shaped dicts
+_config_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats(-2.0, 9.0) | st.sampled_from(["auto", "ab", ""]),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(["window", "anchors", "stride", "lce", "heads"]), inner, max_size=3),
+    max_leaves=10,
+)
+_config_keys = sorted(config_to_dict(tiny_config())) + ["stage_overrides", "bogus"]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    patch=st.dictionaries(st.sampled_from(_config_keys), _config_values, max_size=4),
+    dropped=st.sets(st.sampled_from(_config_keys), max_size=2),
+)
+def test_config_from_dict_round_trips_or_raises_config_error(patch, dropped):
+    d = {k: v for k, v in {**config_to_dict(tiny_config()), **patch}.items() if k not in dropped}
+    try:
+        cfg = config_from_dict(d)
+    except ConfigError:
+        return
+    back = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
+    assert back == cfg
+    assert config_to_dict(back) == config_to_dict(cfg)
+    assert config_hash(back) == config_hash(cfg)
+
+
 def test_config_hash_separates_configs():
     a = config_hash(get_config("ssvit-t"))
     b = config_hash(get_config("ssvit-t", window=5))
@@ -228,6 +259,33 @@ def test_param_items_order_is_stable_and_complete():
     assert len(names) == len(set(names))
     assert "stage1.block1.s3a.w_qkv" in names
     assert "downsample1.w" in names
+
+
+def _layout_digest(cfg):
+    items = param_items(build_model(cfg, Rng(0)))
+    layout = json.dumps([(n, list(a.shape)) for n, a in items])
+    return len(items), hashlib.sha256(layout.encode()).hexdigest()
+
+
+def test_param_layout_and_preset_hashes_are_frozen():
+    # tensor paths, order and shapes are the checkpoint format
+    assert _layout_digest(tiny_config()) == (
+        92, "eea7277eb16814e740ff3a0c4fe55aaebeb08ec5552edc4e33dec08fde9f53cd"
+    )
+    alt = tiny_config(
+        name="tiny-alt", window=1, anchors=3, stride=2, lce=False, classes=3,
+        stage_overrides=(None, {"lce": True}, None, None),
+    )
+    assert _layout_digest(alt) == (
+        86, "dbea35385cd5e319a54df11b6790465b783d8fd97f7e45c8ca208567c669eb1e"
+    )
+    hashes = {name: config_hash(cfg) for name, cfg in MODEL_PRESETS.items()}
+    assert hashes == {
+        "ssvit-t": "5bd9c63ba712762e",
+        "ssvit-s": "37db4f68ad94ad17",
+        "ssvit-b": "cf2ed8306fa3aa07",
+        "ssvit-l": "35269b735a558015",
+    }
 
 
 def test_stage_sides_follow_ceil_halving():
