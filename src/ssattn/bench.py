@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError
 from .layer import S3AConfig, init_s3a_params, s3a_flops, s3a_forward
 from .model import ModelConfig, build_model, count_flops, model_forward
-from .tensor import Rng
+from .tensor import Rng, philox
 
 SCALING_BOUND = 2.0
 SCALING_SIDES = (56, 28, 14)
@@ -62,7 +62,7 @@ def bench_model(cfg: ModelConfig, H: int, W: int, repeats: int, seed: int, dtype
     if repeats < 3:
         raise ConfigError(f"repeats must be >= 3, got {repeats}")
     params = build_model(cfg, Rng(seed), dtype=dtype)
-    g = np.random.Generator(np.random.Philox(seed + 1))
+    g = philox(seed, 1)
     x = g.normal(size=(cfg.in_channels, H, W)).astype(dtype)
     samples = _time_call(lambda: model_forward(x, params, cfg), repeats)
     entry = _stats(samples, int(count_flops(cfg, H, W).total()))
@@ -83,7 +83,7 @@ def bench_scaling(repeats: int = 5, seed: int = 0, dtype=np.float32) -> dict:
     cfg = S3AConfig(channels=SCALING_CHANNELS, heads=SCALING_HEADS,
                     window=3, anchors=7, stride="auto")
     params = init_s3a_params(cfg, Rng(seed + 30), dtype=dtype)
-    g = np.random.Generator(np.random.Philox(seed + 31))
+    g = philox(seed, 31)
     points = []
     for side in SCALING_SIDES:
         x = g.normal(size=(cfg.channels, side, side)).astype(dtype)

@@ -61,7 +61,7 @@ from .model import (
     tensor_items,
 )
 from .oracle import axis_points, dense_attention, fd_gradient, oracle_lce, oracle_s3a
-from .tensor import Rng
+from .tensor import Rng, philox
 
 PARAM_TARGETS = {"ssvit-t": 15e6, "ssvit-s": 27e6, "ssvit-b": 57e6, "ssvit-l": 100e6}
 FLOP_TARGET_T224 = 2.4e9
@@ -93,10 +93,6 @@ class CheckResult:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "passed": bool(self.passed), "seconds": round(self.seconds, 4)}
-
-
-def _gen(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
 
 
 def _map_layer(params: S3AParams, fn) -> S3AParams:
@@ -173,7 +169,7 @@ def check_oracle(seed: int = 0, cases: int | None = None, tol: float | None = No
     n_cases = 200 if cases is None else cases
     tol64 = 1e-6 if tol is None else tol
     tol32 = 1e-4 if tol is None else tol * 100
-    g = _gen(seed)
+    g = philox(seed)
     forced = [(1, 1), (1, 7), (7, 1), (12, 12), (1, 12), (3, 11), (11, 3), (9, 9)]
     err64 = err32 = 0.0
     for i in range(n_cases):
@@ -253,7 +249,7 @@ def check_degeneracy(seed: int = 0, cases: int | None = None, tol: float | None 
     per_suite = 20 if cases is None else max(1, cases // 2)
     tol_dense = 1e-5 if tol is None else tol
     tol_single = 1e-6 if tol is None else tol
-    g = _gen(seed + 1)
+    g = philox(seed, 1)
 
     # (a) window covers the map, one anchor -> dense full attention
     err_dense = 0.0
@@ -314,7 +310,7 @@ def check_gradients(seed: int = 0, cases: int | None = None, tol: float | None =
     tol64 = 1e-6 if tol is None else tol
     tol32 = 1e-2 if tol is None else max(tol, 1e-2)
     step = 1e-5
-    g = _gen(seed + 2)
+    g = philox(seed, 2)
     err64 = err32 = 0.0
     geoms = [(2, 2), (3, 3), (2, 4), (4, 2), (3, 5), (4, 4), (5, 3)]
     for i in range(n_cases):
@@ -371,7 +367,7 @@ def check_lattice(seed: int = 0, cases: int | None = None, tol: float | None = N
     """Legality, cardinality constancy, interior symmetry, oracle agreement."""
     t0 = time.perf_counter()
     n_cases = 500 if cases is None else cases
-    g = _gen(seed + 3)
+    g = philox(seed, 3)
     failures = 0
     for _ in range(n_cases):
         side = int(g.integers(1, 61))
@@ -400,7 +396,7 @@ def check_normalization(seed: int = 0, cases: int | None = None, tol: float | No
     t0 = time.perf_counter()
     n_cases = 500 if cases is None else cases
     tol = 1e-6 if tol is None else tol
-    g = _gen(seed + 4)
+    g = philox(seed, 4)
     rows, max_dev, bound_ok = 0, 0.0, True
     while rows < n_cases:
         heads = int(g.integers(1, 4))
@@ -428,7 +424,7 @@ def check_equivariance(seed: int = 0, cases: int | None = None, tol: float | Non
     t0 = time.perf_counter()
     n_cases = 500 if cases is None else cases
     tol = 1e-6 if tol is None else tol
-    g = _gen(seed + 5)
+    g = philox(seed, 5)
     compared, max_err = 0, 0.0
     while compared < n_cases:
         heads = int(g.integers(1, 3))
@@ -488,7 +484,7 @@ def tiny_config(name: str = "tiny", **overrides) -> ModelConfig:
 def check_identity(seed: int = 0, cases: int | None = None, tol: float | None = None) -> CheckResult:
     """Zero-parameter blocks are exact identities; model shapes hold."""
     t0 = time.perf_counter()
-    g = _gen(seed + 6)
+    g = philox(seed, 6)
     max_dev = 0.0
     runs = 0
     for C, H, W, lce in [(4, 5, 7, True), (6, 3, 3, False), (8, 1, 9, True), (2, 6, 6, True)]:
@@ -522,7 +518,7 @@ def check_io(seed: int = 0, cases: int | None = None, tol: float | None = None) 
     """Bitwise tensor/checkpoint round trips; corruption raises named errors."""
     t0 = time.perf_counter()
     n_tensors = 100 if cases is None else cases
-    g = _gen(seed + 8)
+    g = philox(seed, 8)
     ok = True
     detail: dict = {}
     with tempfile.TemporaryDirectory() as tmp:

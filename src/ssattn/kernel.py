@@ -17,14 +17,29 @@ Both stages of the sparse-scan layer are instances of this one kernel:
 the local-window stage uses dilation 1, the anchor stage uses
 dilation equal to the anchor stride.
 
-Aggregation and the backward apply a sweep as a sparse matrix with n
-entries per row (one CSR matrix per call, block-diagonal over heads);
-only the scores and the attention gradient gather [heads, HW, n, dh]
-blocks.
+The clamped lattice start is monotone in the query coordinate, so on
+each axis the queries that share a whole lattice row form contiguous
+runs (at 56 positions, 7 anchors, dilation 8: lengths 25, 1, ..., 1,
+25). Every (row run x column run) rectangle of queries shares one key
+set. `run_classes` groups the rectangles by run lengths (a, b), and
+each product of a query row with its lattice rows runs as one batched
+GEMM per class: [heads, G, a*b, .] against the class's G key sets
+[heads, G, n, dh]. That covers the scores q . K_set and the attention
+gradient g . V_set (sampled dense-dense products) as well as the
+aggregation P @ V_set and the query gradient D @ K_set. A class's
+queries are a strided view of the map and only its G key sets are
+gathered: a few large rectangles on the anchor lattice, and one key set
+per query of the interior class (1, 1) on the local window.
+
+The two transposed products, grad_k = D.T @ q and grad_v = A.T @ g,
+scatter onto keys, and the key sets of neighbouring rectangles overlap.
+They stay one CSR matrix per call with n entries per row,
+block-diagonal over heads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -86,15 +101,101 @@ def flat_index_map(H: int, W: int, spec: NeighborhoodSpec) -> np.ndarray:
     return flat.reshape(H, W, -1)
 
 
+class Runs(NamedTuple):
+    """`count` runs of `length` positions on one axis, starting at
+    `first`, `first + step`, ...; each run shares one lattice row."""
+
+    first: int
+    length: int
+    step: int
+    count: int
+
+
+def _axis_runs(rows: np.ndarray) -> list[Runs]:
+    """Group the runs of equal whole rows of `rows` ([side, n]) by length.
+
+    Equal-length runs whose starts are evenly spaced form one group, so
+    a group is a strided view of the axis.
+    """
+    new = np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1
+    bounds = [0, *new.tolist(), len(rows)]
+    by_length: dict[int, list[int]] = {}
+    for lo, hi in zip(bounds, bounds[1:]):
+        by_length.setdefault(hi - lo, []).append(lo)
+    groups = []
+    for length, starts in by_length.items():
+        while starts:
+            step = starts[1] - starts[0] if len(starts) > 1 else length
+            count = 1
+            while count < len(starts) and starts[count] - starts[count - 1] == step:
+                count += 1
+            groups.append(Runs(starts[0], length, step, count))
+            starts = starts[count:]
+    return groups
+
+
+def run_classes(idx: np.ndarray) -> list[tuple[Runs, Runs]]:
+    """Rectangles of queries sharing one key set, grouped by run lengths.
+
+    `idx` is a `flat_index_map` ([H, W, n]). It is an outer sum of a
+    row lattice and a column lattice, so queries (i, j) and (i + 1, j)
+    share keys for every j exactly when they do at j = 0, and likewise
+    along a row. Each (row group, column group) pair is one class: its
+    rectangles tile the map and every query of a rectangle has the key
+    set of the rectangle's first query.
+    """
+    cols = _axis_runs(idx[0])
+    return [(r, c) for r in _axis_runs(idx[:, 0]) for c in cols]
+
+
+def _firsts(runs: Runs) -> slice:
+    """The first position of every run of a group."""
+    return slice(runs.first, runs.first + runs.step * (runs.count - 1) + 1, runs.step)
+
+
+def _class_view(t: np.ndarray, rows: Runs, cols: Runs) -> np.ndarray:
+    """[heads, Gr, Gc, a, b, last] view of a C-contiguous [heads, H, W, last] map."""
+    s0, s1, s2, s3 = t.strides
+    return np.ndarray(
+        (t.shape[0], rows.count, cols.count, rows.length, cols.length, t.shape[3]),
+        t.dtype, t, rows.first * s1 + cols.first * s2,
+        (s0, rows.step * s1, cols.step * s2, s1, s2, s3),
+    )
+
+
+def _lattice_matmul(x: np.ndarray, y: np.ndarray, idx: np.ndarray, sampled: bool) -> np.ndarray:
+    """Products of each query row of x with its lattice rows of y, one GEMM per run class.
+
+    sampled: out[a, i, j, t] = <x[a, i, j], y[a, idx[i, j, t]]>, x is [heads, H, W, dh];
+    otherwise out[a, i, j] = sum_t x[a, i, j, t] * y[a, idx[i, j, t]], x is [heads, H, W, n].
+    """
+    heads, H, W, _ = x.shape
+    dh = y.shape[-1]
+    x = np.ascontiguousarray(x)
+    yf = np.ascontiguousarray(y).reshape(heads, H * W, dh)
+    out = np.empty((heads, H, W, idx.shape[-1] if sampled else dh), np.result_type(x, y))
+    for rows, cols in run_classes(idx):
+        # [heads, Gr, Gc, n, dh]: the lattice rows of y shared by each rectangle
+        ysets = np.take(yf, idx[_firsts(rows), _firsts(cols)], axis=1)
+        xb = _class_view(x, rows, cols)
+        prod = np.matmul(
+            xb.reshape(*ysets.shape[:3], -1, x.shape[-1]),
+            ysets.swapaxes(-1, -2) if sampled else ysets,
+        )
+        _class_view(out, rows, cols)[...] = prod.reshape(xb.shape[:5] + (-1,))
+    return out
+
+
 def _sweep_matrix(weights: np.ndarray, idx: np.ndarray) -> sparse.csr_array:
     """[heads*HW, heads*HW] CSR matrix of one sweep, block-diagonal over heads.
 
-    Row a*HW + i holds weights[a, i, :] at columns a*HW + idx[i, :], so
-    `_sweep_matrix(attn, idx) @ v` is the aggregation and its transpose
-    scatters back onto keys/values (border duplicates summed).
+    Row a*HW + i holds weights[a, i, :] at columns a*HW + idx[i, :]
+    (weights [heads, H, W, n], idx [H, W, n]), so its transpose scatters
+    onto keys/values, border duplicates summed.
     """
-    heads, HW, n = weights.shape
-    cols = (idx.reshape(1, HW * n) + HW * np.arange(heads)[:, None]).reshape(-1)
+    heads, n = weights.shape[0], weights.shape[-1]
+    HW = idx.size // n
+    cols = (idx.reshape(1, -1) + HW * np.arange(heads)[:, None]).reshape(-1)
     indptr = np.arange(0, heads * HW * n + 1, n)
     return sparse.csr_array(
         (weights.reshape(-1), cols, indptr), shape=(heads * HW, heads * HW)
@@ -102,8 +203,8 @@ def _sweep_matrix(weights: np.ndarray, idx: np.ndarray) -> sparse.csr_array:
 
 
 def _check_qkhw(t: np.ndarray, name: str) -> tuple[int, int, int, int]:
-    if t.ndim != 4:
-        raise ShapeError(f"{name} must be [heads, H, W, dh], got shape {t.shape}")
+    if t.ndim != 4 or t.shape[0] < 1 or t.shape[3] < 1:
+        raise ShapeError(f"{name} must be [heads, H, W, dh] with heads, dh >= 1, got shape {t.shape}")
     return t.shape
 
 
@@ -115,18 +216,15 @@ def neighborhood_scores(
     scores[a, i, j, n] = <q[a, i, j, :], scale * k[a, p(n), :]> with p
     enumerating the lattice height-major. Default scale is dh ** -0.5.
     """
-    heads, H, W, dh = _check_qkhw(q, "q")
+    _, H, W, dh = _check_qkhw(q, "q")
     if k.shape != q.shape:
         raise ShapeError(f"q/k shapes differ: {q.shape} vs {k.shape}")
     if scale is None:
         scale = dh**-0.5
-    idx = flat_index_map(H, W, spec)
-    kg = k.reshape(heads, H * W, dh)[:, idx.reshape(H * W, -1), :]
+    scores = _lattice_matmul(q, k, flat_index_map(H, W, spec), sampled=True)
     if scale != 1.0:
-        kg = kg * q.dtype.type(scale)
-    # batched matvec: [heads, HW, n, dh] @ [heads, HW, dh, 1]
-    scores = np.matmul(kg, q.reshape(heads, H * W, dh)[..., None])[..., 0]
-    return scores.reshape(heads, H, W, -1)
+        scores *= q.dtype.type(scale)
+    return scores
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -149,8 +247,7 @@ def neighborhood_aggregate(
         raise ShapeError(
             f"attn shape {attn.shape} does not match values {(heads, H, W, n)}"
         )
-    A = _sweep_matrix(attn.reshape(heads, H * W, n), idx.reshape(H * W, n))
-    return (A @ v.reshape(heads * H * W, dh)).reshape(heads, H, W, dh)
+    return _lattice_matmul(attn, v, idx, sampled=False)
 
 
 @dataclass
@@ -170,6 +267,7 @@ def kernel_forward(
     scale: float | None = None,
 ) -> tuple[np.ndarray, KernelSaved]:
     """scores -> softmax -> aggregate, returning output and saved state."""
+    _check_qkhw(q, "q")
     if scale is None:
         scale = q.shape[-1] ** -0.5
     attn = softmax_rows(neighborhood_scores(q, k, spec, scale))
@@ -185,27 +283,20 @@ def kernel_backward(grads_out: np.ndarray, saved: KernelSaved) -> dict[str, np.n
     heads, H, W, dh = q.shape
     if grads_out.shape != v.shape:
         raise ShapeError(f"grads_out shape {grads_out.shape} != values {v.shape}")
-    HW = H * W
-    idx = flat_index_map(H, W, spec).reshape(HW, -1)
-    n = idx.shape[-1]
+    idx = flat_index_map(H, W, spec)
 
-    g = grads_out.reshape(heads, HW, dh)
-    af = attn.reshape(heads, HW, n)
-    vg = v.reshape(heads, HW, dh)[:, idx, :]  # [heads, HW, n, dh]
-
-    d_attn = np.matmul(vg, g[..., None])[..., 0]  # [heads, HW, n]
-    inner = (af * d_attn).sum(axis=-1, keepdims=True)
-    d_scores = af * (d_attn - inner)
+    d_attn = _lattice_matmul(grads_out, v, idx, sampled=True)
+    d_scores = attn * (d_attn - (attn * d_attn).sum(axis=-1, keepdims=True))
     if scale != 1.0:
         d_scores *= q.dtype.type(scale)  # scores use the scaled keys
 
+    flat = (heads * H * W, dh)
     D = _sweep_matrix(d_scores, idx)
-    A = _sweep_matrix(af, idx)
-    flat = (heads * HW, dh)
+    A = _sweep_matrix(attn, idx)
     return {
-        "grad_q": (D @ k.reshape(flat)).reshape(q.shape),
+        "grad_q": _lattice_matmul(d_scores, k, idx, sampled=False),
         "grad_k": (D.T @ q.reshape(flat)).reshape(q.shape),
-        "grad_v": (A.T @ g.reshape(flat)).reshape(q.shape),
+        "grad_v": (A.T @ grads_out.reshape(flat)).reshape(q.shape),
     }
 
 

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import SizeError
+from .errors import ConfigError, SizeError
 
 F32 = np.dtype(np.float32)
 F64 = np.dtype(np.float64)
@@ -27,12 +27,24 @@ DTYPES = {"f32": F32, "f64": F64}
 _MAX_ELEMENTS = np.iinfo(np.int64).max // 16
 
 
+def philox(seed: int, stream: int = 0) -> np.random.Generator:
+    """Generator over Philox(seed + stream); a negative seed is a ConfigError.
+
+    Callers that need several independent draws from one seed ask for
+    distinct non-negative `stream`s.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return np.random.Generator(np.random.Philox(seed + stream))
+
+
 class Rng:
     """Seedable random source backed by the Philox counter-based generator."""
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.Philox(self.seed))
+        self._gen = philox(self.seed)
 
     def normal(self, shape, std: float = 1.0, dtype=DEFAULT_DTYPE) -> np.ndarray:
         dtype = np.dtype(dtype)

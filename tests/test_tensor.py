@@ -3,7 +3,10 @@ import numpy as np
 import pytest
 
 from ssattn import Rng, randn
-from ssattn.errors import SizeError
+from ssattn.bench import bench_scaling
+from ssattn.checks import run_checks, tiny_config
+from ssattn.errors import ConfigError, SizeError
+from ssattn.model import build_model
 from ssattn.tensor import DEFAULT_DTYPE, DTYPES, F32, F64
 
 
@@ -19,6 +22,18 @@ def test_randn_rejects_bad_shapes():
         randn((2, -1), Rng(0))
     with pytest.raises(SizeError):
         randn((2**40, 2**40), Rng(0))
+
+
+def test_negative_seed_is_config_error_through_the_python_api():
+    cfg = tiny_config()
+    with pytest.raises(ConfigError):
+        Rng(-1)
+    with pytest.raises(ConfigError):
+        build_model(cfg, Rng(-1))
+    with pytest.raises(ConfigError):
+        run_checks(["identity"], seed=-7)
+    with pytest.raises(ConfigError):
+        bench_scaling(seed=-1)  # its streams are seed + 30 and seed + 31
 
 
 def test_rng_deterministic_per_seed():
