@@ -64,7 +64,6 @@ from .layer import (
     S3AConfig,
     S3AParams,
     init_s3a_params,
-    resolve_stride,
     s3a_backward,
     s3a_flops,
     s3a_forward,

@@ -24,6 +24,7 @@ from .errors import ConfigError, ShapeError
 from .layer import (
     S3AConfig,
     S3AParams,
+    _tap_window,
     depthwise_forward,
     init_s3a_params,
     s3a_forward,
@@ -63,21 +64,9 @@ def conv2d(
     """Dense 2D convolution of a [Cin, H, W] map with [Cout, Cin, kh, kw] filters."""
     if x.ndim != 3 or w.ndim != 4 or w.shape[1] != x.shape[0]:
         raise ShapeError(f"conv2d expects x [Cin,H,W] and w [Cout,Cin,kh,kw], got {x.shape}, {w.shape}")
-    cin, H, W = x.shape
-    cout, _, kh, kw = w.shape
-    oh = (H + 2 * padding - kh) // stride + 1
-    ow = (W + 2 * padding - kw) // stride + 1
-    if oh < 1 or ow < 1:
-        raise ShapeError(f"kernel {kh}x{kw} does not fit on {H}x{W} with padding {padding}")
-    xp = x
-    if padding:
-        xp = np.zeros((cin, H + 2 * padding, W + 2 * padding), dtype=x.dtype)
-        xp[:, padding : padding + H, padding : padding + W] = x
-    out = np.zeros((cout, oh, ow), dtype=x.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            taps = xp[:, u : u + (oh - 1) * stride + 1 : stride, v : v + (ow - 1) * stride + 1 : stride]
-            out += np.tensordot(w[:, :, u, v], taps, axes=([1], [0]))
+    kh, kw = w.shape[2:]
+    taps = _tap_window(x, kh, kw, (padding, padding), stride)  # [Cin, oh, ow, kh, kw]
+    out = np.tensordot(w, taps, axes=([1, 2, 3], [0, 3, 4]))
     if b is not None:
         out += b[:, None, None]
     return out

@@ -623,6 +623,6 @@ def run_checks(
     results = []
     for name in names:
         if name not in CHECKS:
-            raise KeyError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
+            raise ConfigError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
         results.append(CHECKS[name](seed=seed, cases=cases, tol=tols.get(name)))
     return results

@@ -127,7 +127,7 @@ def test_conv2d_matches_reference_over_many_geometries():
     while checked < 100:
         cin = int(g.integers(1, 8))
         cout = int(g.integers(1, 8))
-        kh, kw = int(g.choice([1, 3])), int(g.choice([1, 3]))
+        kh, kw = int(g.choice([1, 2, 3])), int(g.choice([1, 2, 3]))
         stride = int(g.choice([1, 2]))
         padding = int(g.choice([0, 1, 2]))
         H = int(g.integers(kh, kh + 5))

@@ -165,6 +165,8 @@ def test_check_rejects_nonpositive_cases(capsys):
     for cases in (0, -3):
         with pytest.raises(ConfigError):
             run_checks(["params"], cases=cases)
+    with pytest.raises(ConfigError):
+        run_checks(["nope"])
 
 
 def test_check_detects_mutated_lattice(monkeypatch, capsys):

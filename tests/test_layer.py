@@ -10,7 +10,6 @@ from ssattn.layer import (
     depthwise_backward,
     depthwise_forward,
     init_s3a_params,
-    resolve_stride,
     resolved_strides,
     s3a_attention_flops,
     s3a_backward,
@@ -68,6 +67,8 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         S3AConfig(channels=8, heads=2, stride=0)
     with pytest.raises(ConfigError):
+        S3AConfig(channels=8, heads=2, stride=-2)
+    with pytest.raises(ConfigError):
         S3AConfig(channels=8, heads=2, stride="bogus")
     for kwargs in (
         {"channels": "8", "heads": 2},
@@ -82,22 +83,15 @@ def test_config_validation_errors():
             S3AConfig(**kwargs)
 
 
-def test_resolve_stride_policy():
-    assert resolve_stride("auto", 56, 7) == 8
-    assert resolve_stride("auto", 7, 7) == 1
-    assert resolve_stride("auto", 5, 7) == 1  # floor would be zero; clamps to 1
-    assert resolve_stride(3, 999, 7) == 3
-    with pytest.raises(ConfigError):
-        resolve_stride(0, 10, 3)
-    with pytest.raises(ConfigError):
-        resolve_stride(-2, 10, 3)
-
-
 def test_resolved_strides_per_axis():
     cfg = S3AConfig(channels=8, heads=2, anchors=(7, 3))
     assert resolved_strides(cfg, 56, 9) == (8, 3)
+    auto = S3AConfig(channels=8, heads=2, anchors=7)
+    assert resolved_strides(auto, 56, 7) == (8, 1)
+    assert resolved_strides(auto, 5, 56) == (1, 8)  # floor would be zero; clamps to 1
     fixed = S3AConfig(channels=8, heads=2, stride=(2, 5))
     assert resolved_strides(fixed, 100, 100) == (2, 5)
+    assert resolved_strides(S3AConfig(channels=8, heads=2, stride=3), 999, 7) == (3, 3)
 
 
 def test_effective_anchor_counts_shrink_on_small_maps():
@@ -183,17 +177,39 @@ def test_depthwise_backward_matches_finite_differences():
     from ssattn.oracle import fd_gradient
 
     g = gen(61)
-    x = g.normal(size=(2, 4, 3))
-    filt = g.normal(size=(2, 3, 3))
-    bias = g.normal(size=2)
-    cot = g.normal(size=(2, 4, 3))
-    dx, dfilt, dbias = depthwise_backward(cot, x, filt)
-    fd_x = fd_gradient(lambda t: float((depthwise_forward(t, filt, bias) * cot).sum()), x)
-    fd_f = fd_gradient(lambda t: float((depthwise_forward(x, t, bias) * cot).sum()), filt)
-    fd_b = fd_gradient(lambda t: float((depthwise_forward(x, filt, t) * cot).sum()), bias)
-    assert np.abs(dx - fd_x).max() < 1e-8
-    assert np.abs(dfilt - fd_f).max() < 1e-8
-    assert np.abs(dbias - fd_b).max() < 1e-8
+    # a 3x3 filter, and a 5x5 one on a map smaller than the kernel
+    for shape, k in (((2, 4, 3), 3), ((2, 3, 4), 5)):
+        C = shape[0]
+        x = g.normal(size=shape)
+        filt = g.normal(size=(C, k, k))
+        bias = g.normal(size=C)
+        cot = g.normal(size=shape)
+        dx, dfilt, dbias = depthwise_backward(cot, x, filt)
+        fd_x = fd_gradient(lambda t: float((depthwise_forward(t, filt, bias) * cot).sum()), x)
+        fd_f = fd_gradient(lambda t: float((depthwise_forward(x, t, bias) * cot).sum()), filt)
+        fd_b = fd_gradient(lambda t: float((depthwise_forward(x, filt, t) * cot).sum()), bias)
+        assert np.abs(dx - fd_x).max() < 1e-8, k
+        assert np.abs(dfilt - fd_f).max() < 1e-8, k
+        assert np.abs(dbias - fd_b).max() < 1e-8, k
+        f32 = depthwise_backward(cot.astype(np.float32), x.astype(np.float32), filt.astype(np.float32))
+        assert [t.dtype for t in f32] == [np.float32] * 3, k
+
+
+def test_depthwise_shape_guards():
+    x = np.zeros((3, 6, 6))
+    filt, bias = np.zeros((3, 3, 3)), np.zeros(3)
+    for bad_filt in (np.zeros((1, 3, 3)), np.zeros((3, 4, 4)), np.zeros((3, 3, 2)), np.zeros((3, 9))):
+        with pytest.raises(ShapeError):
+            depthwise_forward(x, bad_filt, bias)
+        with pytest.raises(ShapeError):
+            depthwise_backward(x, x, bad_filt)
+    for bad_bias in (np.zeros(1), np.zeros((3, 1))):
+        with pytest.raises(ShapeError):
+            depthwise_forward(x, filt, bad_bias)
+    with pytest.raises(ShapeError):
+        depthwise_forward(np.zeros((6, 6)), filt[:1], bias[:1])  # x is not [C, H, W]
+    with pytest.raises(ShapeError):
+        depthwise_backward(np.zeros((3, 6, 5)), x, filt)  # cotangent shape != x shape
 
 
 # ---------------------------------------------------------------------------
