@@ -67,7 +67,6 @@ from .layer import (
     s3a_backward,
     s3a_flops,
     s3a_forward,
-    s3a_param_count,
 )
 from .model import (
     MODEL_PRESETS,

@@ -35,14 +35,20 @@ SCOPE_NOTE = (
 )
 
 
-def _time_call(fn, repeats: int) -> list[float]:
-    """Wall-clock samples of fn(), one warmup call excluded."""
-    fn()
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
+def _time_rounds(fns, repeats: int) -> list[list[float]]:
+    """Wall-clock samples of each fn, one warmup call each excluded.
+
+    Each of the `repeats` rounds calls every fn once, so a burst of host
+    load lands on all of them rather than inflating one.
+    """
+    for fn in fns:
         fn()
-        samples.append(time.perf_counter() - t0)
+    samples = [[] for _ in fns]
+    for _ in range(repeats):
+        for fn, out in zip(fns, samples):
+            t0 = time.perf_counter()
+            fn()
+            out.append(time.perf_counter() - t0)
     return samples
 
 
@@ -64,7 +70,7 @@ def bench_model(cfg: ModelConfig, H: int, W: int, repeats: int, seed: int, dtype
     params = build_model(cfg, Rng(seed), dtype=dtype)
     g = philox(seed, 1)
     x = g.normal(size=(cfg.in_channels, H, W)).astype(dtype)
-    samples = _time_call(lambda: model_forward(x, params, cfg), repeats)
+    (samples,) = _time_rounds([lambda: model_forward(x, params, cfg)], repeats)
     entry = _stats(samples, int(count_flops(cfg, H, W).total()))
     entry["resolution"] = [H, W]
     return entry
@@ -84,10 +90,10 @@ def bench_scaling(repeats: int = 5, seed: int = 0, dtype=np.float32) -> dict:
                     window=3, anchors=7, stride="auto")
     params = init_s3a_params(cfg, Rng(seed + 30), dtype=dtype)
     g = philox(seed, 31)
+    inputs = [g.normal(size=(cfg.channels, side, side)).astype(dtype) for side in SCALING_SIDES]
+    timings = _time_rounds([lambda x=x: s3a_forward(x, params, cfg) for x in inputs], repeats)
     points = []
-    for side in SCALING_SIDES:
-        x = g.normal(size=(cfg.channels, side, side)).astype(dtype)
-        samples = _time_call(lambda: s3a_forward(x, params, cfg), repeats)
+    for side, samples in zip(SCALING_SIDES, timings):
         med = statistics.median(samples)
         points.append({
             "side": side,

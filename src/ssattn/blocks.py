@@ -22,17 +22,16 @@ from scipy.special import erf
 
 from .errors import ConfigError, ShapeError
 from .layer import (
+    INIT_STD,
     S3AConfig,
     S3AParams,
     _tap_window,
     depthwise_forward,
     init_s3a_params,
     s3a_forward,
-    s3a_param_count,
 )
 from .tensor import DEFAULT_DTYPE, Rng, randn
 
-INIT_STD = 0.02
 LN_EPS = 1e-6
 CPE_KERNEL = 3
 FFN_RATIO = 3
@@ -137,14 +136,14 @@ class HeadParams:
 # initializers
 
 
-def init_ln_params(channels: int, dtype=DEFAULT_DTYPE) -> LnParams:
-    return LnParams(scale=np.ones(channels, dtype=dtype), shift=np.zeros(channels, dtype=dtype))
+def init_ln_params(channels: int, rng: Rng, dtype=DEFAULT_DTYPE) -> LnParams:
+    return LnParams(scale=rng.full(channels, 1.0, dtype), shift=rng.full(channels, 0.0, dtype))
 
 
 def init_cpe_params(channels: int, rng: Rng, dtype=DEFAULT_DTYPE) -> CpeParams:
     return CpeParams(
         filt=randn((channels, CPE_KERNEL, CPE_KERNEL), rng, std=INIT_STD, dtype=dtype),
-        bias=np.zeros(channels, dtype=dtype),
+        bias=rng.full(channels, 0.0, dtype),
     )
 
 
@@ -152,9 +151,9 @@ def init_ffn_params(channels: int, rng: Rng, ratio: int = FFN_RATIO, dtype=DEFAU
     hidden = ratio * channels
     return FfnParams(
         w1=randn((hidden, channels), rng, std=INIT_STD, dtype=dtype),
-        b1=np.zeros(hidden, dtype=dtype),
+        b1=rng.full(hidden, 0.0, dtype),
         w2=randn((channels, hidden), rng, std=INIT_STD, dtype=dtype),
-        b2=np.zeros(channels, dtype=dtype),
+        b2=rng.full(channels, 0.0, dtype),
     )
 
 
@@ -162,9 +161,9 @@ def init_block_params(cfg: S3AConfig, rng: Rng, ratio: int = FFN_RATIO, dtype=DE
     C = cfg.channels
     return BlockParams(
         cpe=init_cpe_params(C, rng, dtype=dtype),
-        ln1=init_ln_params(C, dtype=dtype),
+        ln1=init_ln_params(C, rng, dtype=dtype),
         s3a=init_s3a_params(cfg, rng, dtype=dtype),
-        ln2=init_ln_params(C, dtype=dtype),
+        ln2=init_ln_params(C, rng, dtype=dtype),
         ffn=init_ffn_params(C, rng, ratio=ratio, dtype=dtype),
     )
 
@@ -177,8 +176,8 @@ def init_stem_params(out_channels: int, rng: Rng, in_channels: int = 3, dtype=DE
     convs = [
         ConvBnParams(
             w=randn((co, ci, 3, 3), rng, std=INIT_STD, dtype=dtype),
-            bn_scale=np.ones(co, dtype=dtype),
-            bn_shift=np.zeros(co, dtype=dtype),
+            bn_scale=rng.full(co, 1.0, dtype),
+            bn_shift=rng.full(co, 0.0, dtype),
         )
         for ci, co in widths
     ]
@@ -188,60 +187,17 @@ def init_stem_params(out_channels: int, rng: Rng, in_channels: int = 3, dtype=DE
 def init_downsample_params(cin: int, cout: int, rng: Rng, dtype=DEFAULT_DTYPE) -> DownsampleParams:
     return DownsampleParams(
         w=randn((cout, cin, 3, 3), rng, std=INIT_STD, dtype=dtype),
-        b=np.zeros(cout, dtype=dtype),
-        ln=init_ln_params(cout, dtype=dtype),
+        b=rng.full(cout, 0.0, dtype),
+        ln=init_ln_params(cout, rng, dtype=dtype),
     )
 
 
 def init_head_params(channels: int, classes: int, rng: Rng, dtype=DEFAULT_DTYPE) -> HeadParams:
     return HeadParams(
-        ln=init_ln_params(channels, dtype=dtype),
+        ln=init_ln_params(channels, rng, dtype=dtype),
         w=randn((classes, channels), rng, std=INIT_STD, dtype=dtype),
-        b=np.zeros(classes, dtype=dtype),
+        b=rng.full(classes, 0.0, dtype),
     )
-
-
-# ---------------------------------------------------------------------------
-# parameter counts
-
-
-def ln_param_count(channels: int) -> int:
-    return 2 * channels
-
-
-def cpe_param_count(channels: int) -> int:
-    return channels * CPE_KERNEL * CPE_KERNEL + channels
-
-
-def ffn_param_count(channels: int, ratio: int = FFN_RATIO) -> int:
-    hidden = ratio * channels
-    return hidden * channels + hidden + channels * hidden + channels
-
-
-def block_param_count(cfg: S3AConfig, ratio: int = FFN_RATIO) -> int:
-    C = cfg.channels
-    return (
-        cpe_param_count(C)
-        + 2 * ln_param_count(C)
-        + s3a_param_count(cfg)
-        + ffn_param_count(C, ratio)
-    )
-
-
-def stem_param_count(out_channels: int, in_channels: int = 3) -> int:
-    mid = out_channels // 2
-    n = in_channels * mid * 9 + 2 * mid
-    n += 2 * (mid * mid * 9 + 2 * mid)
-    n += mid * out_channels * 9 + 2 * out_channels
-    return n
-
-
-def downsample_param_count(cin: int, cout: int) -> int:
-    return cin * cout * 9 + cout + 2 * cout
-
-
-def head_param_count(channels: int, classes: int) -> int:
-    return 2 * channels + channels * classes + classes
 
 
 # ---------------------------------------------------------------------------

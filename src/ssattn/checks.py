@@ -61,7 +61,7 @@ from .model import (
     tensor_items,
 )
 from .oracle import axis_points, dense_attention, fd_gradient, oracle_lce, oracle_s3a
-from .tensor import Rng, philox
+from .tensor import Rng, ShapeOnly, philox
 
 PARAM_TARGETS = {"ssvit-t": 15e6, "ssvit-s": 27e6, "ssvit-b": 57e6, "ssvit-l": 100e6}
 FLOP_TARGET_T224 = 2.4e9
@@ -102,7 +102,7 @@ def _map_layer(params: S3AParams, fn) -> S3AParams:
 
 def _random_layer(cfg: S3AConfig, g: np.random.Generator, dtype, spread: float = 0.35) -> S3AParams:
     """Layer parameters with random weights AND biases, for stress tests."""
-    template = init_s3a_params(cfg, Rng(0), dtype)
+    template = init_s3a_params(cfg, ShapeOnly(), dtype)
     return _map_layer(template, lambda a: g.normal(0.0, spread, size=a.shape).astype(dtype))
 
 

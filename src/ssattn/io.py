@@ -43,7 +43,7 @@ from .model import (
     load_state,
     param_items,
 )
-from .tensor import DTYPES, Rng
+from .tensor import DTYPES, ShapeOnly
 
 TENSOR_MAGIC = b"SSA1"
 CHECKPOINT_MAGIC = b"SSC1"
@@ -198,7 +198,10 @@ def save_model_checkpoint(path: str, cfg: ModelConfig, params: ModelParams) -> N
 
 
 def load_model_checkpoint(path: str) -> tuple[ModelConfig, ModelParams]:
-    """Read a model checkpoint; every expected parameter path must appear."""
+    """Read a model checkpoint; every expected parameter path must appear.
+
+    The model adopts the decoded arrays: nothing is drawn or copied.
+    """
     tensors, meta = load_checkpoint(path)
     if "config" not in meta:
         raise ManifestError("checkpoint meta lacks an embedded config")
@@ -207,7 +210,7 @@ def load_model_checkpoint(path: str) -> tuple[ModelConfig, ModelParams]:
     dtype = DTYPES.get(tag) if isinstance(tag, str) else None
     if dtype is None:
         raise ManifestError(f"checkpoint meta dtype malformed: {tag!r}")
-    params = build_model(cfg, Rng(0), dtype=dtype)
+    params = build_model(cfg, ShapeOnly(), dtype=dtype)
     try:
         load_state(params, tensors)
     except StateError as exc:

@@ -114,22 +114,14 @@ def init_s3a_params(cfg: S3AConfig, rng: Rng, dtype=DEFAULT_DTYPE) -> S3AParams:
     C = cfg.channels
     params = S3AParams(
         w_qkv=randn((3 * C, C), rng, std=INIT_STD, dtype=dtype),
-        b_qkv=np.zeros(3 * C, dtype=dtype),
+        b_qkv=rng.full(3 * C, 0.0, dtype),
         w_out=randn((C, C), rng, std=INIT_STD, dtype=dtype),
-        b_out=np.zeros(C, dtype=dtype),
+        b_out=rng.full(C, 0.0, dtype),
     )
     if cfg.lce:
         params.lce_filt = randn((C, LCE_KERNEL, LCE_KERNEL), rng, std=INIT_STD, dtype=dtype)
-        params.lce_bias = np.zeros(C, dtype=dtype)
+        params.lce_bias = rng.full(C, 0.0, dtype)
     return params
-
-
-def s3a_param_count(cfg: S3AConfig) -> int:
-    C = cfg.channels
-    n = 3 * C * C + 3 * C + C * C + C
-    if cfg.lce:
-        n += C * LCE_KERNEL * LCE_KERNEL + C
-    return n
 
 
 def _tap_window(x: np.ndarray, kh: int, kw: int, pad: tuple[int, int], stride: int = 1) -> np.ndarray:

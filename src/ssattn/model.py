@@ -7,10 +7,11 @@ linear). Channel width doubles roughly per stage; every stage uses the
 same window/anchor geometry, with the anchor stride resolved per axis
 from the stage's own feature-map size when left on `auto`.
 
-`count_params` and `count_flops` are closed-form and must agree with
-the tensors `build_model` actually allocates; the test-suite holds the
-two routes together. Multiply-accumulates use the 1 MAC = 1 FLOP
-convention and exclude softmax, GELU, normalization, and bias adds.
+`count_params` reads its tally off the tree `build_model` builds from
+`ShapeOnly`, which draws and allocates nothing, so the init functions
+are the one parameter schema. `count_flops` is closed-form;
+multiply-accumulates use the 1 MAC = 1 FLOP convention and exclude
+softmax, GELU, normalization, and bias adds.
 """
 from __future__ import annotations
 
@@ -25,10 +26,7 @@ from .blocks import (
     DownsampleParams,
     HeadParams,
     StemParams,
-    block_param_count,
     downsample_forward,
-    downsample_param_count,
-    head_param_count,
     init_block_params,
     init_downsample_params,
     init_head_params,
@@ -36,12 +34,11 @@ from .blocks import (
     layernorm,
     ssvit_block,
     stem_forward,
-    stem_param_count,
 )
 from .errors import ConfigError, DTypeError, NumericError, ShapeError, StateError
 from .layer import S3AConfig, s3a_flops
 from .report import ReportNode
-from .tensor import DEFAULT_DTYPE, Rng
+from .tensor import DEFAULT_DTYPE, Rng, ShapeOnly
 
 NUM_STAGES = 4
 STEM_STRIDE = 4
@@ -130,8 +127,8 @@ class ModelParams:
     head: HeadParams
 
 
-def build_model(cfg: ModelConfig, rng: Rng, dtype=DEFAULT_DTYPE) -> ModelParams:
-    """Allocate and initialize every tensor of the backbone."""
+def build_model(cfg: ModelConfig, rng: Rng | ShapeOnly, dtype=DEFAULT_DTYPE) -> ModelParams:
+    """Initialize every tensor of the backbone; with ShapeOnly, only their shapes."""
     stem = init_stem_params(cfg.channels[0], rng, in_channels=cfg.in_channels, dtype=dtype)
     stages = [
         [init_block_params(cfg.stage_s3a(i), rng, ratio=cfg.ffn_ratio, dtype=dtype) for _ in range(cfg.blocks[i])]
@@ -192,15 +189,18 @@ def model_forward(x: np.ndarray, params: ModelParams, cfg: ModelConfig) -> np.nd
 
 
 def count_params(cfg: ModelConfig) -> ReportNode:
-    """Closed-form parameter tally, itemized per component."""
+    """Parameter tally of an undrawn model, itemized per component.
+
+    Components are the first path segments (stem, stageN, downsampleN,
+    head). A shape too large to address raises SizeError.
+    """
+    totals: dict[str, int] = {}
+    for path, arr in param_items(build_model(cfg, ShapeOnly())):
+        top = path.split(".", 1)[0]
+        totals[top] = totals.get(top, 0) + arr.size
     root = ReportNode(cfg.name)
-    root.leaf("stem", stem_param_count(cfg.channels[0], cfg.in_channels))
-    for i in range(NUM_STAGES):
-        per_block = block_param_count(cfg.stage_s3a(i), ratio=cfg.ffn_ratio)
-        root.leaf(f"stage{i + 1}", cfg.blocks[i] * per_block)
-        if i < NUM_STAGES - 1:
-            root.leaf(f"downsample{i + 1}", downsample_param_count(cfg.channels[i], cfg.channels[i + 1]))
-    root.leaf("head", head_param_count(cfg.channels[-1], cfg.classes))
+    for name, n in totals.items():
+        root.leaf(name, n)
     return root
 
 
@@ -240,50 +240,66 @@ def count_flops(cfg: ModelConfig, H: int, W: int) -> ReportNode:
     return root
 
 
-def tensor_items(prefix: str, node) -> list[tuple[str, np.ndarray]]:
-    """(path, tensor) pairs of a parameter dataclass, in field order.
+def _slots(prefix: str, node) -> list[tuple[str, object, str]]:
+    """(path, owner, field) of every tensor field under a parameter dataclass.
 
-    A field's path extends `prefix` by its name; None fields (a disabled
-    LCE branch) are skipped.
+    Fields come in declaration order and a field's path extends `prefix`
+    by its name; None fields (a disabled LCE branch) are skipped. Every
+    listing of, and every write to, a model's tensors goes through here.
     """
-    if node is None:
-        return []
-    if isinstance(node, np.ndarray):
-        return [(prefix, node)]
-    return [item for f in fields(node) for item in tensor_items(f"{prefix}.{f.name}", getattr(node, f.name))]
+    slots = []
+    for f in fields(node):
+        path, value = f"{prefix}.{f.name}", getattr(node, f.name)
+        if isinstance(value, np.ndarray):
+            slots.append((path, node, f.name))
+        elif value is not None:
+            slots += _slots(path, value)
+    return slots
 
 
-def param_items(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    """Deterministic (path, tensor) listing of every learnable tensor."""
+def _model_slots(params: ModelParams) -> list[tuple[str, object, str]]:
     groups = [(f"stem.conv{i}", conv) for i, conv in enumerate(params.stem.convs, start=1)]
     for si, blocks in enumerate(params.stages, start=1):
         groups += [(f"stage{si}.block{bi}", bp) for bi, bp in enumerate(blocks, start=1)]
         if si < NUM_STAGES:
             groups.append((f"downsample{si}", params.downsamples[si - 1]))
     groups.append(("head", params.head))
-    return [item for prefix, node in groups for item in tensor_items(prefix, node)]
+    return [slot for prefix, node in groups for slot in _slots(prefix, node)]
+
+
+def tensor_items(prefix: str, node) -> list[tuple[str, np.ndarray]]:
+    """(path, tensor) pairs of a parameter dataclass, in field order."""
+    return [(path, getattr(owner, name)) for path, owner, name in _slots(prefix, node)]
+
+
+def param_items(params: ModelParams) -> list[tuple[str, np.ndarray]]:
+    """Deterministic (path, tensor) listing of every learnable tensor."""
+    return [(path, getattr(owner, name)) for path, owner, name in _model_slots(params)]
 
 
 def load_state(params: ModelParams, tensors: dict[str, np.ndarray]) -> None:
-    """Copy named tensors into an allocated model, strictly and in place.
+    """Make named tensors a model's parameters, strictly; the model adopts the arrays.
 
-    Every tensor must match its parameter's shape and dtype; none is cast.
+    `params` is any tree of the right architecture, typically one built
+    from ShapeOnly; its arrays only supply the expected shape and dtype.
+    Every tensor must match those (none is cast) and hold finite values.
     """
-    expected = param_items(params)
-    seen = set()
-    for path, arr in expected:
+    slots = _model_slots(params)
+    for path, owner, name in slots:
         if path not in tensors:
             raise StateError(f"missing parameter {path!r}")
-        src = tensors[path]
+        src, arr = tensors[path], getattr(owner, name)
         if tuple(src.shape) != tuple(arr.shape):
             raise ShapeError(f"parameter {path!r}: stored shape {src.shape} != expected {arr.shape}")
         if src.dtype != arr.dtype:
             raise DTypeError(f"parameter {path!r}: stored dtype {src.dtype} != expected {arr.dtype}")
-        arr[...] = src
-        seen.add(path)
-    extra = set(tensors) - seen
+        setattr(owner, name, src)
+    extra = set(tensors) - {path for path, _, _ in slots}
     if extra:
         raise StateError(f"unexpected parameters {sorted(extra)[:4]}")
+    for path, _, _ in slots:
+        if not np.isfinite(tensors[path]).all():
+            raise NumericError(f"parameter {path!r} holds NaN or Inf")
 
 
 def _jsonable(value):

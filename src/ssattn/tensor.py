@@ -7,7 +7,8 @@ else in the package builds on these arrays.
 
 Randomness comes from numpy's Philox bit generator, a documented
 counter-based PRNG: a given 64-bit seed yields the same draw sequence
-on every platform.
+on every platform. `ShapeOnly` stands in for `Rng` where only the
+shapes of a parameter tree matter.
 """
 from __future__ import annotations
 
@@ -52,6 +53,26 @@ class Rng:
         if std != 1.0:
             out *= dtype.type(std)
         return out
+
+    def full(self, shape, value: float, dtype=DEFAULT_DTYPE) -> np.ndarray:
+        """A constant tensor; draws nothing, so the generator's stream is unchanged."""
+        return np.full(shape, value, dtype=dtype)
+
+
+class ShapeOnly:
+    """Stand-in for Rng that draws and allocates nothing.
+
+    `normal` and `full` return read-only zero-stride views of one scalar
+    (zero for `normal`), so a parameter tree built from it has the real
+    shapes and dtypes but takes no memory, whatever its widths: enough
+    to count parameters, or to name the slots a checkpoint fills.
+    """
+
+    def normal(self, shape, std: float = 1.0, dtype=DEFAULT_DTYPE) -> np.ndarray:
+        return self.full(shape, 0.0, dtype)
+
+    def full(self, shape, value: float, dtype=DEFAULT_DTYPE) -> np.ndarray:
+        return np.broadcast_to(np.dtype(dtype).type(value), shape)
 
 
 def _checked_shape(shape) -> tuple[int, ...]:

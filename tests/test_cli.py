@@ -90,6 +90,14 @@ def test_resolution_or_seed_the_model_cannot_use_is_usage_error(argv, capsys):
     assert argv[-2] in err and "Traceback" not in err
 
 
+def test_describe_of_an_unaddressable_stage_is_size_error(tmp_path, capsys):
+    _, path = write_tiny_config(tmp_path, channels=(8, 16, 32, 2**33))
+    assert main(["describe", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflows the address space" in captured.err and "Traceback" not in captured.err
+
+
 def test_describe_out_file_matches_stdout(tmp_path, capsys):
     out = tmp_path / "report.json"
     doc, _ = run_cli(capsys, ["describe", "--out", str(out)])

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+import ssattn.tensor
 from ssattn.checks import tiny_config
 from ssattn.errors import (
     DTypeError,
@@ -188,6 +189,23 @@ def test_model_checkpoint_round_trip(tmp_path):
         assert na == nb
         assert a.tobytes() == b.tobytes()
         assert a.dtype == b.dtype
+
+
+def test_model_checkpoint_load_draws_nothing(tmp_path, monkeypatch):
+    cfg = tiny_config()
+    params = build_model(cfg, Rng(9))
+    path = tmp_path / "m.ssc"
+    save_model_checkpoint(str(path), cfg, params)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("checkpoint loading drew random numbers")
+
+    monkeypatch.setattr(ssattn.tensor, "philox", no_draws)
+    _, params2 = load_model_checkpoint(str(path))
+    for (na, a), (nb, b) in zip(param_items(params), param_items(params2), strict=True):
+        assert na == nb
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 def test_model_checkpoint_f64_round_trip(tmp_path):

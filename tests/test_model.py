@@ -2,6 +2,7 @@
 import gc
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from ssattn.model import (
     param_items,
     stage_sides,
 )
-from ssattn.tensor import Rng
+from ssattn.tensor import Rng, ShapeOnly
 
 PARAM_TARGETS = {
     "ssvit-t": 15e6,
@@ -207,8 +208,24 @@ def test_count_params_equals_materialized_for_all_presets():
         params = build_model(cfg, Rng(0))
         live = sum(arr.size for _, arr in param_items(params))
         assert live == count_params(cfg).total(), name
+        undrawn = param_items(build_model(cfg, ShapeOnly()))
+        assert [(n, a.shape, a.dtype) for n, a in undrawn] == [
+            (n, a.shape, a.dtype) for n, a in param_items(params)
+        ], name
         del params
         gc.collect()
+
+
+def test_count_params_allocates_no_weights():
+    cfg = ModelConfig("wide", (1, 1, 1, 1), (8, 16, 32, 2**20), (1, 2, 4, 8), classes=7)
+    tracemalloc.start()
+    try:
+        total = count_params(cfg).total()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == 10_995_481_204_971
+    assert peak < 16 * 2**20
 
 
 def test_flops_near_target_at_224():
@@ -359,14 +376,14 @@ def test_load_state_round_trip_and_strictness():
     cfg = tiny_config()
     src = build_model(cfg, Rng(5))
     tensors = dict(param_items(src))
-    dst = build_model(cfg, Rng(6))
+    dst = build_model(cfg, ShapeOnly())
     load_state(dst, tensors)
     for (_, a), (_, b) in zip(param_items(src), param_items(dst)):
         assert a.tobytes() == b.tobytes()
 
     missing = dict(tensors)
     missing.pop("head.w")
-    fresh = build_model(cfg, Rng(7))
+    fresh = build_model(cfg, ShapeOnly())
     with pytest.raises(StateError):
         load_state(fresh, missing)
 
@@ -379,3 +396,15 @@ def test_load_state_round_trip_and_strictness():
     bad_shape["head.w"] = np.zeros((1, 1), dtype=np.float32)
     with pytest.raises(ShapeError):
         load_state(fresh, bad_shape)
+
+
+def test_load_state_rejects_non_finite_tensors_by_path():
+    cfg = tiny_config()
+    tensors = dict(param_items(build_model(cfg, Rng(5))))
+    for path, value in (("head.b", np.inf), ("stage3.block1.s3a.w_out", np.nan)):
+        bad = dict(tensors)
+        bad[path] = bad[path].copy()
+        bad[path].flat[0] = value
+        with pytest.raises(NumericError) as err:
+            load_state(build_model(cfg, ShapeOnly()), bad)
+        assert path in str(err.value)
