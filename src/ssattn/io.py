@@ -10,7 +10,9 @@ little-endian) tensor-file blob per parameter, then a JSON manifest
 {"version", "names", "meta"} and, as the final 8 bytes, the manifest
 length as u64 little-endian, so a reader can locate the manifest from
 the end of the file. `names` lists one parameter path per blob, in
-order. Model checkpoints embed the model configuration in `meta`.
+order, with no repeats. Model checkpoints embed the model configuration
+in `meta`. The reader takes only version 1 manifests with exactly these
+three keys, so a file it accepts is written back byte for byte.
 
 Both formats are platform-independent (endianness is fixed) and all
 writes are atomic: content goes to a temporary file in the same
@@ -47,6 +49,7 @@ from .tensor import DTYPES, ShapeOnly
 
 TENSOR_MAGIC = b"SSA1"
 CHECKPOINT_MAGIC = b"SSC1"
+_MANIFEST_VERSION = 1
 
 # on-disk scalars are little-endian whatever the platform's byte order
 _DTYPE_TAGS = {tag: dt.newbyteorder("<") for tag, dt in DTYPES.items()}
@@ -83,24 +86,26 @@ def tensor_to_bytes(arr: np.ndarray) -> bytes:
     return TENSOR_MAGIC + struct.pack("<I", len(header)) + header + payload
 
 
-def tensor_from_bytes(blob: bytes) -> np.ndarray:
+def tensor_from_bytes(blob: bytes | memoryview) -> np.ndarray:
+    """Decode one SSA1 blob; the returned array is the only copy of its payload."""
+    blob = memoryview(blob)
     if len(blob) < 4 or blob[:4] != TENSOR_MAGIC:
-        raise MagicError(f"bad tensor magic {blob[:4]!r}")
+        raise MagicError(f"bad tensor magic {bytes(blob[:4])!r}")
     if len(blob) < 8:
         raise TruncatedPayloadError("tensor blob ends inside the header length field")
     (header_len,) = struct.unpack("<I", blob[4:8])
     if len(blob) < 8 + header_len:
         raise TruncatedPayloadError("tensor header extends past end of data")
     try:
-        header = json.loads(blob[8 : 8 + header_len])
+        header = json.loads(bytes(blob[8 : 8 + header_len]))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"tensor header is not valid JSON: {exc}") from None
-    if not isinstance(header, dict) or header.get("dtype") not in _DTYPE_TAGS:
+    tag = header.get("dtype") if isinstance(header, dict) else None
+    if not isinstance(tag, str) or tag not in _DTYPE_TAGS:
         raise FormatError(f"tensor header malformed: {header!r}")
     shape = header.get("shape")
     if not isinstance(shape, list) or any(type(s) is not int or s < 0 for s in shape):
         raise FormatError(f"tensor shape malformed: {shape!r}")
-    tag = header["dtype"]
     itemsize = _DTYPE_TAGS[tag].itemsize
     # Python ints do not overflow; numpy bounds the rank and the nonzero extents
     if len(shape) > _MAX_RANK or math.prod(max(s, 1) for s in shape) * itemsize > _MAX_BYTES:
@@ -143,7 +148,7 @@ def save_checkpoint(
         parts.append(struct.pack("<Q", len(blob)))
         parts.append(blob)
     manifest = json.dumps(
-        {"version": 1, "names": names, "meta": meta or {}}, separators=(",", ":")
+        {"version": _MANIFEST_VERSION, "names": names, "meta": meta or {}}, separators=(",", ":")
     ).encode()
     parts.append(manifest)
     parts.append(struct.pack("<Q", len(manifest)))
@@ -152,21 +157,30 @@ def save_checkpoint(
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())  # blobs are sliced without copying
     if len(blob) < 4 or blob[:4] != CHECKPOINT_MAGIC:
-        raise MagicError(f"bad checkpoint magic {blob[:4]!r}")
+        raise MagicError(f"bad checkpoint magic {bytes(blob[:4])!r}")
     if len(blob) < 12:
         raise TruncatedPayloadError("checkpoint ends inside the manifest length field")
     (manifest_len,) = struct.unpack("<Q", blob[-8:])
     if manifest_len > len(blob) - 12:
         raise ManifestError(f"manifest length {manifest_len} exceeds file size")
     try:
-        manifest = json.loads(blob[len(blob) - 8 - manifest_len : len(blob) - 8])
+        manifest = json.loads(bytes(blob[len(blob) - 8 - manifest_len : len(blob) - 8]))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from None
-    names = manifest.get("names") if isinstance(manifest, dict) else None
+    # only what save_checkpoint writes is read: a file loads back to its own bytes
+    if not isinstance(manifest, dict) or manifest.keys() != {"version", "names", "meta"}:
+        raise ManifestError(f"manifest keys malformed: {manifest!r:.200}")
+    if type(manifest["version"]) is not int or manifest["version"] != _MANIFEST_VERSION:
+        raise ManifestError(f"manifest version {manifest['version']!r} is not {_MANIFEST_VERSION}")
+    names, meta = manifest["names"], manifest["meta"]
     if not isinstance(names, list) or any(not isinstance(n, str) for n in names):
         raise ManifestError(f"manifest names malformed: {names!r}")
+    if len(set(names)) != len(names):
+        raise ManifestError("duplicate parameter paths in checkpoint manifest")
+    if not isinstance(meta, dict):
+        raise ManifestError(f"manifest meta malformed: {meta!r}")
 
     tensors: dict[str, np.ndarray] = {}
     pos, end, count = 4, len(blob) - 8 - manifest_len, 0
@@ -184,9 +198,6 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
         count += 1
     if count != len(names):
         raise ManifestError(f"manifest names {len(names)} blobs {count}: count mismatch")
-    meta = manifest.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ManifestError(f"manifest meta malformed: {meta!r}")
     return tensors, meta
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DTypeError, ShapeError
 from .kernel import (
     KernelSaved,
     NeighborhoodSpec,
@@ -124,42 +124,68 @@ def init_s3a_params(cfg: S3AConfig, rng: Rng, dtype=DEFAULT_DTYPE) -> S3AParams:
     return params
 
 
-def _tap_window(x: np.ndarray, kh: int, kw: int, pad: tuple[int, int], stride: int = 1) -> np.ndarray:
-    """[C, oh, ow, kh, kw] taps of x zero-padded by pad: where every convolution reads taps."""
+def _padded(x: np.ndarray, kh: int, kw: int, pad: tuple[int, int], spare_rows: int = 0) -> np.ndarray:
+    """x zero-padded by pad, plus spare_rows zero rows below: where every convolution pads."""
     C, H, W = x.shape
     ph, pw = pad
     if H + 2 * ph < kh or W + 2 * pw < kw:
         raise ShapeError(f"kernel {kh}x{kw} does not fit on {H}x{W} with padding {pad}")
-    xp = np.zeros((C, H + 2 * ph, W + 2 * pw), dtype=x.dtype)  # not np.pad: ~50 us more per call
+    xp = np.zeros((C, H + 2 * ph + spare_rows, W + 2 * pw), dtype=x.dtype)  # not np.pad: ~50 us more per call
     xp[:, ph : ph + H, pw : pw + W] = x
-    return sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    return xp
 
 
-def _check_depthwise(x: np.ndarray, filt: np.ndarray) -> None:
-    """ShapeError unless x is [C, H, W] and filt [C, kh, kw] with odd kh and kw."""
+def _tap_window(x: np.ndarray, kh: int, kw: int, pad: tuple[int, int], stride: int = 1) -> np.ndarray:
+    """[C, oh, ow, kh, kw] taps of x zero-padded by pad: where the dense convolution reads taps."""
+    return sliding_window_view(_padded(x, kh, kw, pad), (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+
+
+def _check_depthwise(x: np.ndarray, filt: np.ndarray, *others: np.ndarray) -> None:
+    """ShapeError unless x is [C, H, W] and filt [C, kh, kw] with odd kh and kw;
+    DTypeError unless filt and others share x's dtype."""
     odd = filt.ndim == 3 and filt.shape[1] % 2 == 1 and filt.shape[2] % 2 == 1
     if x.ndim != 3 or not odd or filt.shape[0] != x.shape[0]:
         raise ShapeError(f"depthwise expects x [C,H,W] and filt [C,odd,odd], got {x.shape}, {filt.shape}")
+    for arr in (filt, *others):
+        if arr.dtype != x.dtype:
+            raise DTypeError(f"depthwise operands mix dtypes: {x.dtype} and {arr.dtype}")
+
+
+def _flat_padded(x: np.ndarray, kh: int, kw: int) -> tuple[np.ndarray, int]:
+    """x padded for a same-size kh x kw convolution, flattened to [C, (H+kh)*Wp], and Wp.
+
+    Tap (u, v) of all outputs is the contiguous slice [u*Wp + v, u*Wp + v + H*Wp):
+    output (h, w) sits at h*Wp + w, and columns w >= W, which read across the
+    row end, are dropped. The spare zero row keeps the last tap's slice in bounds.
+    """
+    xp = _padded(x, kh, kw, (kh // 2, kw // 2), spare_rows=1)
+    return xp.reshape(x.shape[0], -1), xp.shape[2]
 
 
 def _depthwise_taps(x: np.ndarray, filt: np.ndarray) -> np.ndarray:
     """Sum over taps of filt times the shifted map: the depthwise convolution without bias."""
+    C, H, W = x.shape
     kh, kw = filt.shape[1:]
-    taps = _tap_window(x, kh, kw, (kh // 2, kw // 2))
-    out = np.zeros_like(x)
+    flat, Wp = _flat_padded(x, kh, kw)
+    n = H * Wp
+    out = np.zeros((C, n), dtype=x.dtype)
+    prod = np.empty_like(out)
     for u in range(kh):
         for v in range(kw):
-            out += filt[:, u, v, None, None] * taps[..., u, v]
-    return out
+            s = u * Wp + v
+            np.multiply(filt[:, u, v, None], flat[:, s : s + n], out=prod)
+            out += prod
+    return out.reshape(C, H, Wp)[:, :, :W]
 
 
 def depthwise_forward(x: np.ndarray, filt: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Per-channel 2D convolution, zero padding, stride 1, output size = input size.
 
-    x is [C, H, W], filt [C, odd, odd], bias [C]; one multiply-add per tap
-    over the tap window, so no [C, H, W, kh, kw] copy is made.
+    x is [C, H, W], filt [C, odd, odd], bias [C], all of one dtype; one
+    multiply-add per tap over a shifted slice of the flat padded map, so no
+    [C, H, W, kh, kw] copy is made.
     """
-    _check_depthwise(x, filt)
+    _check_depthwise(x, filt, bias)
     if bias.shape != (x.shape[0],):
         raise ShapeError(f"depthwise bias must be [{x.shape[0]}], got {bias.shape}")
     return _depthwise_taps(x, filt) + bias[:, None, None]
@@ -171,14 +197,25 @@ def depthwise_backward(
     """Gradients (dx, dfilt, dbias) of depthwise_forward for cotangent g.
 
     dx is the same tap sum applied to g with the filter flipped (exact
-    because kh and kw are odd); dfilt contracts g with x's tap window.
+    because kh and kw are odd); dfilt[:, u, v] contracts g, zero-padded to
+    the flat row width, with tap (u, v)'s slice of the flat padded x.
     """
-    _check_depthwise(x, filt)
+    _check_depthwise(x, filt, g)
     if g.shape != x.shape:
         raise ShapeError(f"depthwise cotangent shape {g.shape} != input shape {x.shape}")
     dx = _depthwise_taps(g, filt[:, ::-1, ::-1])
+    C, H, W = x.shape
     kh, kw = filt.shape[1:]
-    dfilt = np.einsum("chw,chwuv->cuv", g, _tap_window(x, kh, kw, (kh // 2, kw // 2)))
+    flat, Wp = _flat_padded(x, kh, kw)
+    n = H * Wp
+    g_pad = np.zeros((C, H, Wp), dtype=g.dtype)
+    g_pad[:, :, :W] = g
+    g_pad = g_pad.reshape(C, n)
+    dfilt = np.empty(filt.shape, dtype=x.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            s = u * Wp + v
+            dfilt[:, u, v] = np.einsum("cm,cm->c", g_pad, flat[:, s : s + n])
     return dx, dfilt, g.sum(axis=(1, 2))
 
 

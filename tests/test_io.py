@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ssattn.tensor
 from ssattn.checks import tiny_config
@@ -14,6 +16,7 @@ from ssattn.errors import (
     MagicError,
     ManifestError,
     PayloadSizeError,
+    SSAttnError,
     TruncatedPayloadError,
 )
 from ssattn.io import (
@@ -170,6 +173,21 @@ def test_checkpoint_corruptions_raise_named_errors(tmp_path):
     inflated = blob[:4] + struct.pack("<Q", 10**9) + blob[12:]
     with pytest.raises(TruncatedPayloadError):
         _load_blob(tmp_path, inflated)
+    # manifests save_checkpoint never writes: a repeated path (which would drop a
+    # tensor), another version, a missing or an extra key
+    save_checkpoint(str(path), [("a", np.zeros(2, dtype=np.float32)), ("b", np.ones(3))])
+    blob = path.read_bytes()
+    body = blob[: -8 - struct.unpack("<Q", blob[-8:])[0]]
+    for manifest in (
+        {"version": 1, "names": ["a", "a"], "meta": {}},
+        {"version": 2, "names": ["a", "b"], "meta": {}},
+        {"version": True, "names": ["a", "b"], "meta": {}},
+        {"version": 1, "names": ["a", "b"]},
+        {"version": 1, "names": ["a", "b"], "meta": {}, "extra": 0},
+    ):
+        text = json.dumps(manifest).encode()
+        with pytest.raises(ManifestError):
+            _load_blob(tmp_path, body + text + struct.pack("<Q", len(text)))
 
 
 def _load_blob(tmp_path, blob):
@@ -189,6 +207,20 @@ def test_model_checkpoint_round_trip(tmp_path):
         assert na == nb
         assert a.tobytes() == b.tobytes()
         assert a.dtype == b.dtype
+
+
+def test_loaded_tensors_own_their_data(tmp_path):
+    """No loaded tensor is a view of the file's bytes: each is its own native-order copy."""
+    cfg = tiny_config()
+    path = tmp_path / "m.ssc"
+    save_model_checkpoint(str(path), cfg, build_model(cfg, Rng(9)))
+    save_tensor(str(tmp_path / "t.ssa"), np.arange(6.0).reshape(2, 3))
+    loaded = [arr for _, arr in param_items(load_model_checkpoint(str(path))[1])]
+    loaded += list(load_checkpoint(str(path))[0].values()) + [load_tensor(str(tmp_path / "t.ssa"))]
+    for arr in loaded:
+        assert arr.dtype.isnative
+        assert arr.flags.c_contiguous and arr.flags.writeable and arr.flags.owndata
+        assert arr.base is None
 
 
 def test_model_checkpoint_load_draws_nothing(tmp_path, monkeypatch):
@@ -275,3 +307,87 @@ def test_model_checkpoint_rejects_tensors_of_another_dtype(tmp_path):
     with pytest.raises(DTypeError) as err:
         load_model_checkpoint(str(path))
     assert "stage3.block1.s3a.w_out" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# mutated blobs: every accepted file is the one the writer would produce
+
+
+_BASE_TENSORS = (
+    np.arange(6, dtype=np.float32).reshape(2, 3),
+    np.linspace(-1.0, 1.0, 4),
+    np.zeros((0, 2), dtype=np.float32),
+    np.float64(2.5).reshape(()),
+)
+# header field values as the writer lays them out, valid and not
+_dtype_fields = st.sampled_from(["f32", "f64", "f16", "", None, 3, ["f32"]])
+_shape_fields = st.lists(st.integers(-2, 7), max_size=4) | st.sampled_from(
+    [None, 6, "2,3", [2.0, 3], [True, 6], {}]
+)
+_mutations = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    st.tuples(st.just("flip"), st.sampled_from(["head", "tail", "any"]), st.integers(0, 10**6), st.integers(1, 255)),
+    st.tuples(st.just("edit"), _dtype_fields, _shape_fields),
+)
+
+
+def _compact_header_blob(dtype_field, shape_field, payload):
+    header = json.dumps({"dtype": dtype_field, "shape": shape_field}, separators=(",", ":")).encode()
+    return TENSOR_MAGIC + struct.pack("<I", len(header)) + header + payload
+
+
+def _mutate(blob, mutation, head_end, tail_start):
+    """Truncate blob, or flip one byte of its head ([0, head_end)), its tail
+    ([tail_start, end), anywhere if that is empty) or anywhere; edits are the caller's."""
+    kind, *args = mutation
+    if kind == "truncate":
+        return blob[: args[0] % len(blob)]
+    region, pos, mask = args
+    lo, hi = {"head": (0, head_end), "tail": (tail_start, len(blob))}.get(region, (0, len(blob)))
+    if lo == hi:
+        lo, hi = 0, len(blob)
+    pos = lo + pos % (hi - lo)
+    return blob[:pos] + bytes([blob[pos] ^ mask]) + blob[pos + 1 :]
+
+
+def _tensor_header_end(blob):
+    return 8 + struct.unpack("<I", blob[4:8])[0]
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(base=st.sampled_from(range(len(_BASE_TENSORS))), mutation=_mutations)
+def test_mutated_tensor_blobs_round_trip_or_raise_named_errors(base, mutation):
+    arr = _BASE_TENSORS[base]
+    blob = tensor_to_bytes(arr)
+    if mutation[0] == "edit":
+        blob = _compact_header_blob(*mutation[1:], arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+    else:
+        blob = _mutate(blob, mutation, _tensor_header_end(blob), _tensor_header_end(blob))
+    try:
+        back = tensor_from_bytes(blob)
+    except SSAttnError:
+        return
+    assert tensor_to_bytes(back) == blob
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(edited=st.sampled_from(range(len(_BASE_TENSORS))), mutation=_mutations)
+def test_mutated_checkpoint_blobs_round_trip_or_raise_named_errors(tmp_path_factory, edited, mutation):
+    names = [f"t{i}" for i in range(len(_BASE_TENSORS))]
+    blobs = [tensor_to_bytes(arr) for arr in _BASE_TENSORS]
+    if mutation[0] == "edit":
+        arr = _BASE_TENSORS[edited]
+        blobs[edited] = _compact_header_blob(*mutation[1:], arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+    manifest = json.dumps({"version": 1, "names": names, "meta": {"note": "x"}}, separators=(",", ":")).encode()
+    blob = CHECKPOINT_MAGIC + b"".join(struct.pack("<Q", len(b)) + b for b in blobs)
+    head_end = len(blob[:12]) + _tensor_header_end(blobs[0])
+    blob += manifest + struct.pack("<Q", len(manifest))
+    if mutation[0] != "edit":
+        blob = _mutate(blob, mutation, head_end, len(blob) - 8 - len(manifest))
+    directory = tmp_path_factory.mktemp("mutated")
+    try:
+        tensors, meta = _load_blob(directory, blob)
+    except SSAttnError:
+        return
+    save_checkpoint(str(directory / "back.ssc"), tensors, meta=meta)
+    assert (directory / "back.ssc").read_bytes() == blob

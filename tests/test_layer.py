@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from ssattn.errors import ConfigError, ShapeError
+from ssattn.errors import ConfigError, DTypeError, ShapeError
 from ssattn.kernel import effective_kernel
 from ssattn.layer import (
     S3AConfig,
@@ -152,36 +152,62 @@ def test_init_is_reproducible():
 # depthwise helper
 
 
+# (C, H, W, kh, kw): 1x1, 1x7 and 7x1 maps, a map narrower than kw // 2, a map
+# smaller than the kernel, and square and non-square filters from 1x1 to 7x7
+DEPTHWISE_GEOMETRIES = (
+    (3, 6, 5, 5, 5), (2, 4, 3, 3, 3), (2, 3, 4, 5, 5), (2, 1, 1, 5, 5), (2, 1, 7, 3, 3),
+    (2, 7, 1, 5, 5), (2, 4, 2, 7, 7), (2, 5, 6, 3, 5), (2, 6, 4, 5, 3), (2, 3, 5, 1, 1),
+)
+
+
+def depthwise_operands(g, C, H, W, kh, kw, dtype):
+    """x, filt, bias and a cotangent. The f32 draws are multiples of 1/4, so every
+    product and partial sum is exact in f32 and the f64 tolerances still apply."""
+    def draw(*shape):
+        t = g.normal(size=shape)
+        return t if dtype == np.float64 else (np.round(t * 4) / 4).astype(dtype)
+
+    return draw(C, H, W), draw(C, kh, kw), draw(C), draw(C, H, W)
+
+
 def test_depthwise_matches_bruteforce():
     g = gen(60)
-    x = g.normal(size=(3, 6, 5))
-    filt = g.normal(size=(3, 5, 5))
-    bias = g.normal(size=3)
-    fast = depthwise_forward(x, filt, bias)
-    slow = oracle_lce(x, filt, bias)
-    assert np.abs(fast - slow).max() <= 1e-10
+    for geometry in DEPTHWISE_GEOMETRIES:
+        for dtype in (np.float64, np.float32):
+            x, filt, bias, _ = depthwise_operands(g, *geometry, dtype)
+            fast = depthwise_forward(x, filt, bias)
+            slow = oracle_lce(x, filt, bias)
+            assert fast.dtype == dtype
+            assert np.abs(fast - slow).max() <= 1e-10, (geometry, dtype)
 
 
 def test_depthwise_backward_matches_finite_differences():
     from ssattn.oracle import fd_gradient
 
     g = gen(61)
-    # a 3x3 filter, and a 5x5 one on a map smaller than the kernel
-    for shape, k in (((2, 4, 3), 3), ((2, 3, 4), 5)):
-        C = shape[0]
-        x = g.normal(size=shape)
-        filt = g.normal(size=(C, k, k))
-        bias = g.normal(size=C)
-        cot = g.normal(size=shape)
-        dx, dfilt, dbias = depthwise_backward(cot, x, filt)
-        fd_x = fd_gradient(lambda t: float((depthwise_forward(t, filt, bias) * cot).sum()), x)
-        fd_f = fd_gradient(lambda t: float((depthwise_forward(x, t, bias) * cot).sum()), filt)
-        fd_b = fd_gradient(lambda t: float((depthwise_forward(x, filt, t) * cot).sum()), bias)
-        assert np.abs(dx - fd_x).max() < 1e-8, k
-        assert np.abs(dfilt - fd_f).max() < 1e-8, k
-        assert np.abs(dbias - fd_b).max() < 1e-8, k
-        f32 = depthwise_backward(cot.astype(np.float32), x.astype(np.float32), filt.astype(np.float32))
-        assert [t.dtype for t in f32] == [np.float32] * 3, k
+    for geometry in DEPTHWISE_GEOMETRIES:
+        for dtype in (np.float64, np.float32):
+            x, filt, bias, cot = depthwise_operands(g, *geometry, dtype)
+            dx, dfilt, dbias = depthwise_backward(cot, x, filt)
+            assert [t.dtype for t in (dx, dfilt, dbias)] == [dtype] * 3
+            x, filt, bias, cot = (t.astype(np.float64) for t in (x, filt, bias, cot))
+            fd_x = fd_gradient(lambda t: float((depthwise_forward(t, filt, bias) * cot).sum()), x)
+            fd_f = fd_gradient(lambda t: float((depthwise_forward(x, t, bias) * cot).sum()), filt)
+            fd_b = fd_gradient(lambda t: float((depthwise_forward(x, filt, t) * cot).sum()), bias)
+            assert np.abs(dx - fd_x).max() < 1e-8, (geometry, dtype)
+            assert np.abs(dfilt - fd_f).max() < 1e-8, (geometry, dtype)
+            assert np.abs(dbias - fd_b).max() < 1e-8, (geometry, dtype)
+
+
+def test_depthwise_rejects_mixed_dtypes():
+    x, filt, bias = np.zeros((3, 4, 5)), np.zeros((3, 3, 3)), np.zeros(3)
+    x32, filt32, bias32 = (t.astype(np.float32) for t in (x, filt, bias))
+    for args in ((x32, filt, bias32), (x32, filt32, bias), (x, filt32, bias32)):
+        with pytest.raises(DTypeError):
+            depthwise_forward(*args)
+    for args in ((x, x32, filt32), (x32, x32, filt), (x32, x, filt32)):
+        with pytest.raises(DTypeError):
+            depthwise_backward(*args)
 
 
 def test_depthwise_shape_guards():
