@@ -35,6 +35,7 @@ from .tensor import DEFAULT_DTYPE, Rng, randn
 LN_EPS = 1e-6
 CPE_KERNEL = 3
 FFN_RATIO = 3
+STEM_STRIDES = (2, 1, 1, 2)  # overall stride 4
 _SQRT2 = float(np.sqrt(2.0))
 
 
@@ -224,9 +225,8 @@ def ssvit_block(x: np.ndarray, p: BlockParams, cfg: S3AConfig) -> np.ndarray:
 
 
 def stem_forward(x: np.ndarray, p: StemParams) -> np.ndarray:
-    """Four 3x3 convolutions (strides 2,1,1,2), scale/shift + GELU after each."""
-    strides = (2, 1, 1, 2)
-    for conv, s in zip(p.convs, strides):
+    """Four 3x3 convolutions (STEM_STRIDES), scale/shift + GELU after each."""
+    for conv, s in zip(p.convs, STEM_STRIDES):
         x = conv2d(x, conv.w, b=None, stride=s, padding=1)
         x = x * conv.bn_scale[:, None, None] + conv.bn_shift[:, None, None]
         x = gelu(x)

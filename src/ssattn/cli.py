@@ -80,9 +80,10 @@ def _resolve_config(args, parser: argparse.ArgumentParser):
     elif os.path.exists(name):
         with open(name, encoding="utf-8") as fh:
             try:
-                cfg = config_from_dict(json.load(fh))
-            except json.JSONDecodeError as exc:
+                doc = json.load(fh)
+            except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
                 parser.error(f"config file {name!r} is not valid JSON: {exc}")
+        cfg = config_from_dict(doc)
     else:
         parser.error(
             f"unknown config {name!r}: not a preset ({', '.join(sorted(MODEL_PRESETS))}) "

@@ -98,7 +98,7 @@ def tensor_from_bytes(blob: bytes | memoryview) -> np.ndarray:
         raise TruncatedPayloadError("tensor header extends past end of data")
     try:
         header = json.loads(bytes(blob[8 : 8 + header_len]))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
         raise FormatError(f"tensor header is not valid JSON: {exc}") from None
     tag = header.get("dtype") if isinstance(header, dict) else None
     if not isinstance(tag, str) or tag not in _DTYPE_TAGS:
@@ -167,7 +167,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
         raise ManifestError(f"manifest length {manifest_len} exceeds file size")
     try:
         manifest = json.loads(bytes(blob[len(blob) - 8 - manifest_len : len(blob) - 8]))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
         raise ManifestError(f"manifest is not valid JSON: {exc}") from None
     # only what save_checkpoint writes is read: a file loads back to its own bytes
     if not isinstance(manifest, dict) or manifest.keys() != {"version", "names", "meta"}:

@@ -228,12 +228,19 @@ def neighborhood_scores(
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax along the last axis."""
-    if np.isnan(scores).any():
-        raise NumericError("softmax over NaN scores")
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Numerically stable softmax along the last axis.
+
+    A row holding NaN or +Inf, or only -Inf, has a non-finite sum and
+    raises NumericError.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf: caught by the row sums
+        e = scores - scores.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    sums = e.sum(axis=-1, keepdims=True)
+    if not np.isfinite(sums).all():
+        raise NumericError("softmax over NaN or Inf scores")
+    e /= sums
+    return e
 
 
 def neighborhood_aggregate(

@@ -33,7 +33,7 @@ from .kernel import (
     kernel_flops,
     kernel_forward,
 )
-from .tensor import DEFAULT_DTYPE, Rng, randn
+from .tensor import DEFAULT_DTYPE, Rng, ShapeOnly, randn
 
 LCE_KERNEL = 5
 INIT_STD = 0.02
@@ -197,25 +197,21 @@ def depthwise_backward(
     """Gradients (dx, dfilt, dbias) of depthwise_forward for cotangent g.
 
     dx is the same tap sum applied to g with the filter flipped (exact
-    because kh and kw are odd); dfilt[:, u, v] contracts g, zero-padded to
-    the flat row width, with tap (u, v)'s slice of the flat padded x.
+    because kh and kw are odd); dfilt[:, u, v] contracts g with the H x W
+    window of the padded x that tap (u, v) reads, so the flat layout's
+    dropped columns never enter a sum.
     """
     _check_depthwise(x, filt, g)
     if g.shape != x.shape:
         raise ShapeError(f"depthwise cotangent shape {g.shape} != input shape {x.shape}")
     dx = _depthwise_taps(g, filt[:, ::-1, ::-1])
-    C, H, W = x.shape
+    H, W = x.shape[1:]
     kh, kw = filt.shape[1:]
-    flat, Wp = _flat_padded(x, kh, kw)
-    n = H * Wp
-    g_pad = np.zeros((C, H, Wp), dtype=g.dtype)
-    g_pad[:, :, :W] = g
-    g_pad = g_pad.reshape(C, n)
+    xp = _padded(x, kh, kw, (kh // 2, kw // 2))
     dfilt = np.empty(filt.shape, dtype=x.dtype)
     for u in range(kh):
         for v in range(kw):
-            s = u * Wp + v
-            dfilt[:, u, v] = np.einsum("cm,cm->c", g_pad, flat[:, s : s + n])
+            dfilt[:, u, v] = np.einsum("chw,chw->c", g, xp[:, u : u + H, v : v + W])
     return dx, dfilt, g.sum(axis=(1, 2))
 
 
@@ -329,15 +325,20 @@ def s3a_backward(grad_out: np.ndarray, saved: S3ASaved) -> dict[str, np.ndarray]
     return grads
 
 
+def weight_macs(tensors, sites: int) -> int:
+    """The MAC rule: each tensor with two or more axes costs its size per output site.
+
+    That is a weight's multiply-accumulates for any dense or depthwise
+    convolution or linear map; biases, norms and scales (one axis) and
+    None entries (a disabled LCE branch) cost nothing.
+    """
+    return sites * sum(t.size for t in tensors if t is not None and t.ndim >= 2)
+
+
 def s3a_flops(cfg: S3AConfig, H: int, W: int) -> int:
     """Multiply-accumulates for one application on an H x W map."""
-    C = cfg.channels
-    hw = H * W
-    total = hw * (3 * C * C) + hw * (C * C)  # qkv and output projections
-    total += s3a_attention_flops(cfg, H, W)
-    if cfg.lce:
-        total += hw * C * LCE_KERNEL * LCE_KERNEL
-    return total
+    weights = vars(init_s3a_params(cfg, ShapeOnly())).values()
+    return weight_macs(weights, H * W) + s3a_attention_flops(cfg, H, W)
 
 
 def s3a_attention_flops(cfg: S3AConfig, H: int, W: int) -> int:

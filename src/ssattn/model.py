@@ -9,9 +9,12 @@ from the stage's own feature-map size when left on `auto`.
 
 `count_params` reads its tally off the tree `build_model` builds from
 `ShapeOnly`, which draws and allocates nothing, so the init functions
-are the one parameter schema. `count_flops` is closed-form;
-multiply-accumulates use the 1 MAC = 1 FLOP convention and exclude
-softmax, GELU, normalization, and bias adds.
+are the one parameter schema. `count_flops` walks the same tree with
+the feature-map sides: every weight tensor (two or more axes) costs its
+size at each output site of its layer, and each S3A layer adds its two
+closed-form attention sweeps. Multiply-accumulates use the 1 MAC =
+1 FLOP convention and exclude softmax, GELU, normalization, and bias
+adds.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from .blocks import (
+    STEM_STRIDES,
     BlockParams,
     DownsampleParams,
     HeadParams,
@@ -36,12 +40,11 @@ from .blocks import (
     stem_forward,
 )
 from .errors import ConfigError, DTypeError, NumericError, ShapeError, StateError
-from .layer import S3AConfig, s3a_flops
+from .layer import S3AConfig, s3a_attention_flops, weight_macs
 from .report import ReportNode
 from .tensor import DEFAULT_DTYPE, Rng, ShapeOnly
 
 NUM_STAGES = 4
-STEM_STRIDE = 4
 
 
 # the S3AConfig fields a model config sets for all stages or per stage
@@ -142,17 +145,6 @@ def build_model(cfg: ModelConfig, rng: Rng | ShapeOnly, dtype=DEFAULT_DTYPE) -> 
     return ModelParams(stem=stem, stages=stages, downsamples=downsamples, head=head)
 
 
-def stage_sides(H: int, W: int) -> list[tuple[int, int]]:
-    """Feature-map sides of the four stages for an H x W input."""
-    h, w = -(-H // 2), -(-W // 2)  # stem conv 1
-    h, w = -(-h // 2), -(-w // 2)  # stem conv 4
-    sides = [(h, w)]
-    for _ in range(NUM_STAGES - 1):
-        h, w = -(-h // 2), -(-w // 2)
-        sides.append((h, w))
-    return sides
-
-
 def check_input_sides(H: int, W: int) -> None:
     """Reject an input geometry the backbone cannot run.
 
@@ -204,39 +196,33 @@ def count_params(cfg: ModelConfig) -> ReportNode:
     return root
 
 
-def _stem_flops(cfg: ModelConfig, H: int, W: int) -> int:
-    mid = cfg.channels[0] // 2
-    h1, w1 = -(-H // 2), -(-W // 2)
-    h4, w4 = -(-h1 // 2), -(-w1 // 2)
-    total = mid * cfg.in_channels * 9 * h1 * w1
-    total += 2 * (mid * mid * 9 * h1 * w1)
-    total += cfg.channels[0] * mid * 9 * h4 * w4
-    return total
-
-
-def _block_flops(scfg: S3AConfig, ratio: int, H: int, W: int) -> int:
-    C = scfg.channels
-    hw = H * W
-    cpe = 9 * C * hw
-    ffn = 2 * ratio * C * C * hw
-    return cpe + s3a_flops(scfg, H, W) + ffn
-
-
 def count_flops(cfg: ModelConfig, H: int, W: int) -> ReportNode:
-    """Closed-form multiply-accumulate tally for one forward pass."""
+    """Multiply-accumulate tally of one forward pass, read off the undrawn model.
+
+    Every layer's weights cost `weight_macs` at its output sites, and each
+    block adds its S3A layer's two sweeps. Sides ceil-halve at every
+    stride-2 convolution; the head runs at one site.
+    """
+    params = build_model(cfg, ShapeOnly())
+
+    def macs(node, sites: int) -> int:
+        return weight_macs((t for _, t in tensor_items("", node)), sites)
+
     root = ReportNode(f"{cfg.name}@{H}x{W}")
-    root.leaf("stem", _stem_flops(cfg, H, W))
-    sides = stage_sides(H, W)
+    h, w, stem = H, W, 0
+    for conv, s in zip(params.stem.convs, STEM_STRIDES):
+        h, w = -(-h // s), -(-w // s)
+        stem += macs(conv, h * w)
+    root.leaf("stem", stem)
     for i in range(NUM_STAGES):
-        sh, sw = sides[i]
         stage = root.add(ReportNode(f"stage{i + 1}"))
-        per_block = _block_flops(cfg.stage_s3a(i), cfg.ffn_ratio, sh, sw)
-        for b in range(cfg.blocks[i]):
-            stage.leaf(f"block{b + 1}", per_block)
+        sweeps = s3a_attention_flops(cfg.stage_s3a(i), h, w)
+        for b, bp in enumerate(params.stages[i], start=1):
+            stage.leaf(f"block{b}", macs(bp, h * w) + sweeps)
         if i < NUM_STAGES - 1:
-            nh, nw = sides[i + 1]
-            root.leaf(f"downsample{i + 1}", cfg.channels[i + 1] * cfg.channels[i] * 9 * nh * nw)
-    root.leaf("head", cfg.channels[-1] * cfg.classes)
+            h, w = -(-h // 2), -(-w // 2)
+            root.leaf(f"downsample{i + 1}", macs(params.downsamples[i], h * w))
+    root.leaf("head", macs(params.head, 1))
     return root
 
 
@@ -334,7 +320,10 @@ def config_from_dict(d: dict) -> ModelConfig:
     missing = {f.name for f in fields(ModelConfig) if f.default is MISSING} - set(d)
     if missing:
         raise ConfigError(f"config missing keys {sorted(missing)}")
-    return ModelConfig(**{k: _detuple(v) for k, v in d.items()})
+    try:
+        return ModelConfig(**{k: _detuple(v) for k, v in d.items()})
+    except RecursionError:  # from _detuple, or from the repr in a ConfigError
+        raise ConfigError("config values nest too deeply") from None
 
 
 def config_hash(cfg: ModelConfig) -> str:

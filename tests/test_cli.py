@@ -98,6 +98,17 @@ def test_describe_of_an_unaddressable_stage_is_size_error(tmp_path, capsys):
     assert "overflows the address space" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("content", [b"[" * 100_000, b"\xff\xfe{}"], ids=["deep", "not-utf8"])
+def test_describe_of_undecodable_config_file_is_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["describe", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "not valid JSON" in err and "Traceback" not in err
+
+
 def test_describe_out_file_matches_stdout(tmp_path, capsys):
     out = tmp_path / "report.json"
     doc, _ = run_cli(capsys, ["describe", "--out", str(out)])
@@ -305,6 +316,16 @@ def test_infer_geometry_error_fails_cleanly(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "error:" in captured.err
+
+
+def test_infer_of_deeply_nested_manifest_fails_cleanly(tmp_path, capsys):
+    ckpt, inp = tmp_path / "deep.ssc", tmp_path / "x.ssa"
+    manifest = b"[" * 100_000
+    ckpt.write_bytes(b"SSC1" + manifest + len(manifest).to_bytes(8, "little"))
+    save_tensor(str(inp), Rng(2).normal((3, 32, 32)))
+    assert main(["infer", str(ckpt), str(inp), "--out", str(tmp_path / "o.ssa")]) == 1
+    err = capsys.readouterr().err
+    assert "manifest is not valid JSON" in err and "Traceback" not in err
 
 
 def test_infer_missing_file_fails_cleanly(tmp_path, capsys):

@@ -109,6 +109,14 @@ def test_tensor_rejects_malformed_headers():
         tensor_from_bytes(header_blob("f32", (2, -2), four))
 
 
+@pytest.mark.parametrize(
+    "header", [b"[" * 100_000, b'{"dtype":"f32","shape":[' + b"9" * 5000 + b"]}"], ids=["deep", "5000-digit-int"]
+)
+def test_tensor_rejects_headers_the_json_parser_refuses(header):
+    with pytest.raises(FormatError, match="not valid JSON"):
+        tensor_from_bytes(TENSOR_MAGIC + struct.pack("<I", len(header)) + header)
+
+
 def test_tensor_rejects_unrepresentable_shapes():
     four = np.arange(4, dtype=np.float32).tobytes()
     with pytest.raises(FormatError):
@@ -188,6 +196,12 @@ def test_checkpoint_corruptions_raise_named_errors(tmp_path):
         text = json.dumps(manifest).encode()
         with pytest.raises(ManifestError):
             _load_blob(tmp_path, body + text + struct.pack("<Q", len(text)))
+
+
+def test_checkpoint_rejects_deeply_nested_manifest(tmp_path):
+    manifest = b"[" * 100_000
+    with pytest.raises(ManifestError, match="not valid JSON"):
+        _load_blob(tmp_path, CHECKPOINT_MAGIC + manifest + struct.pack("<Q", len(manifest)))
 
 
 def _load_blob(tmp_path, blob):

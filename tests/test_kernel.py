@@ -191,9 +191,15 @@ def test_softmax_matches_float64_reference():
 
 
 def test_softmax_rejects_nan():
-    bad = np.array([[0.0, np.nan]])
-    with pytest.raises(NumericError):
-        softmax_rows(bad)
+    # a NaN, a +Inf, or a row with no finite score
+    for bad in ([0.0, np.nan], [0.0, np.inf], [-np.inf, -np.inf]):
+        with pytest.raises(NumericError):
+            softmax_rows(np.array([[1.0, 2.0], bad]))
+
+
+def test_softmax_keeps_rows_with_some_minus_inf():
+    got = softmax_rows(np.array([[0.0, -np.inf, 0.0]]))
+    assert np.array_equal(got, [[0.5, 0.0, 0.5]])
 
 
 def test_softmax_shift_invariance():

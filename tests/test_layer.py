@@ -199,6 +199,22 @@ def test_depthwise_backward_matches_finite_differences():
             assert np.abs(dbias - fd_b).max() < 1e-8, (geometry, dtype)
 
 
+def test_depthwise_dfilt_sums_only_the_taps_true_window():
+    # an Inf at a row's left edge: taps that never read it keep finite sums
+    x = np.ones((1, 6, 6))
+    x[0, 3, 0] = np.inf
+    g, filt = np.ones((1, 6, 6)), np.ones((1, 5, 5))
+    dfilt = depthwise_backward(g, x, filt)[1]
+    xp = np.pad(x, ((0, 0), (2, 2), (2, 2)))
+    for u in range(5):
+        for v in range(5):
+            window = xp[0, u : u + 6, v : v + 6]
+            if np.isfinite(window).all():
+                assert dfilt[0, u, v] == (g[0] * window).sum(), (u, v)
+            else:
+                assert dfilt[0, u, v] == np.inf, (u, v)
+
+
 def test_depthwise_rejects_mixed_dtypes():
     x, filt, bias = np.zeros((3, 4, 5)), np.zeros((3, 3, 3)), np.zeros(3)
     x32, filt32, bias32 = (t.astype(np.float32) for t in (x, filt, bias))
@@ -394,6 +410,7 @@ def test_flops_frozen_example():
     lce = 25 * 64 * hw
     assert s3a_attention_flops(cfg, 56, 56) == attn
     assert s3a_flops(cfg, 56, 56) == proj + attn + lce
+    assert s3a_flops(S3AConfig(channels=64, heads=2, lce=False), 56, 56) == proj + attn
     assert s3a_attention_flops(cfg, 56, 56) // hw == 7_424
 
 

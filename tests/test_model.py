@@ -2,7 +2,9 @@
 import gc
 import hashlib
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,6 @@ from ssattn.model import (
     load_state,
     model_forward,
     param_items,
-    stage_sides,
 )
 from ssattn.tensor import Rng, ShapeOnly
 
@@ -135,6 +136,14 @@ def test_config_from_dict_rejects_mistyped_fields():
     for patch in bad:
         with pytest.raises(ConfigError):
             config_from_dict({**d, **patch})
+
+
+def test_config_from_dict_rejects_deep_nesting():
+    deep = []
+    for _ in range(5000):
+        deep = [deep]
+    with pytest.raises(ConfigError, match="nest too deeply"):
+        config_from_dict({**config_to_dict(tiny_config()), "blocks": deep})
 
 
 # a config field's value: JSON scalars, lists and override-shaped dicts
@@ -252,6 +261,38 @@ def test_flops_scale_linearly_with_tokens_except_head():
     assert f448.total() == 4 * (f224.total() - head) + head
 
 
+def test_readme_preset_table_matches_the_counters():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(ssvit-\w)` \|.*\| ([\d,]+) \| ([\d.]+) G \|$", readme, re.M)
+    assert sorted(name for name, _, _ in rows) == sorted(MODEL_PRESETS)
+    for name, params, gmacs in rows:
+        cfg = MODEL_PRESETS[name]
+        assert int(params.replace(",", "")) == count_params(cfg).total(), name
+        assert f"{count_flops(cfg, 224, 224).total() / 1e9:.2f}" == gmacs, name
+
+
+# golden_flops.json holds each case's tree as the closed-form count gave
+# it; odd sides (44 -> 22 -> 11 -> 6 -> 3 -> 2) check ceil halving through
+# the stem and every downsample
+GOLDEN_FLOPS_CASES = {
+    "ssvit-t": get_config("ssvit-t"),
+    "tiny-alt": tiny_config(name="tiny-alt", window=1, anchors=3, stride=2, lce=False, classes=3),
+    "tiny-overrides": tiny_config(
+        name="tiny-overrides", stage_overrides=(None, None, {"lce": False, "window": 5}, None)
+    ),
+}
+
+
+def test_flops_trees_match_golden_record():
+    with open(Path(__file__).with_name("golden_flops.json")) as fh:
+        record = json.load(fh)
+    assert [(r["case"], r["H"], r["W"]) for r in record] == [
+        ("ssvit-t", 224, 224), ("ssvit-t", 160, 44), ("tiny-alt", 36, 100), ("tiny-overrides", 64, 64)
+    ]
+    for r in record:
+        assert count_flops(GOLDEN_FLOPS_CASES[r["case"]], r["H"], r["W"]).to_dict() == r["tree"], r["case"]
+
+
 # ---------------------------------------------------------------------------
 # build and forward
 
@@ -303,11 +344,6 @@ def test_param_layout_and_preset_hashes_are_frozen():
         "ssvit-b": "cf2ed8306fa3aa07",
         "ssvit-l": "35269b735a558015",
     }
-
-
-def test_stage_sides_follow_ceil_halving():
-    assert stage_sides(224, 224) == [(56, 56), (28, 28), (14, 14), (7, 7)]
-    assert stage_sides(256, 192) == [(64, 48), (32, 24), (16, 12), (8, 6)]
 
 
 def test_forward_shape_contract_and_finiteness():
