@@ -15,8 +15,8 @@ import sys
 from dataclasses import replace
 
 from .bench import run_bench
-from .checks import BUDGETS, CHECKS, run_checks
-from .errors import ShapeError, SSAttnError
+from .checks import BUDGETS, CHECKS, run_checks, validate_tol
+from .errors import ConfigError, ShapeError, SSAttnError
 from .io import atomic_write_bytes, load_model_checkpoint, load_tensor, save_tensor
 from .model import (
     MODEL_PRESETS,
@@ -65,9 +65,11 @@ def _tol_arg(value: str):
     if not sep or name not in CHECKS:
         raise argparse.ArgumentTypeError(f"expected CHECK=VALUE with CHECK in {sorted(CHECKS)}")
     try:
-        return name, float(num)
+        return name, validate_tol(name, float(num))
     except ValueError:
         raise argparse.ArgumentTypeError(f"tolerance for {name!r} is not a number: {num!r}")
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _resolve_config(args, parser: argparse.ArgumentParser):

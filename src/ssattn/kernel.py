@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigError, EmptyDomainError, NumericError, ShapeError
+from .errors import ConfigError, DTypeError, EmptyDomainError, NumericError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -114,24 +114,20 @@ class Runs(NamedTuple):
 def _axis_runs(rows: np.ndarray) -> list[Runs]:
     """Group the runs of equal whole rows of `rows` ([side, n]) by length.
 
-    Equal-length runs whose starts are evenly spaced form one group, so
-    a group is a strided view of the axis.
+    Clamping makes equal-length runs evenly spaced: they are either the
+    two edge runs of length r*d + 1 (r = k_eff // 2) or consecutive
+    single positions. So each group is a strided view of the axis with
+    the step of its first two starts.
     """
     new = np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1
     bounds = [0, *new.tolist(), len(rows)]
     by_length: dict[int, list[int]] = {}
     for lo, hi in zip(bounds, bounds[1:]):
         by_length.setdefault(hi - lo, []).append(lo)
-    groups = []
-    for length, starts in by_length.items():
-        while starts:
-            step = starts[1] - starts[0] if len(starts) > 1 else length
-            count = 1
-            while count < len(starts) and starts[count] - starts[count - 1] == step:
-                count += 1
-            groups.append(Runs(starts[0], length, step, count))
-            starts = starts[count:]
-    return groups
+    return [
+        Runs(starts[0], length, starts[1] - starts[0] if len(starts) > 1 else length, len(starts))
+        for length, starts in by_length.items()
+    ]
 
 
 def run_classes(idx: np.ndarray) -> list[tuple[Runs, Runs]]:
@@ -208,23 +204,27 @@ def _check_qkhw(t: np.ndarray, name: str) -> tuple[int, int, int, int]:
     return t.shape
 
 
-def neighborhood_scores(
-    q: np.ndarray, k: np.ndarray, spec: NeighborhoodSpec, scale: float | None = None
-) -> np.ndarray:
-    """Per-query dot products with the scaled keys on the clamped lattice.
+def check_float_dtypes(where: str, **operands: np.ndarray) -> None:
+    """DTypeError unless the first operand is floating and the rest share its dtype."""
+    (first, a0), *rest = operands.items()
+    if a0.dtype.kind != "f":
+        raise DTypeError(f"{where}: {first} has non-floating dtype {a0.dtype}")
+    for name, a in rest:
+        if a.dtype != a0.dtype:
+            raise DTypeError(f"{where}: {name} is {a.dtype} but {first} is {a0.dtype}")
 
-    scores[a, i, j, n] = <q[a, i, j, :], scale * k[a, p(n), :]> with p
-    enumerating the lattice height-major. Default scale is dh ** -0.5.
+
+def neighborhood_scores(q: np.ndarray, k: np.ndarray, spec: NeighborhoodSpec) -> np.ndarray:
+    """Per-query dot products with the keys on the clamped lattice.
+
+    scores[a, i, j, n] = <q[a, i, j, :], k[a, p(n), :]> with p
+    enumerating the lattice height-major. Callers fold any scale into k.
     """
-    _, H, W, dh = _check_qkhw(q, "q")
+    _, H, W, _ = _check_qkhw(q, "q")
     if k.shape != q.shape:
         raise ShapeError(f"q/k shapes differ: {q.shape} vs {k.shape}")
-    if scale is None:
-        scale = dh**-0.5
-    scores = _lattice_matmul(q, k, flat_index_map(H, W, spec), sampled=True)
-    if scale != 1.0:
-        scores *= q.dtype.type(scale)
-    return scores
+    check_float_dtypes("neighborhood_scores", q=q, k=k)
+    return _lattice_matmul(q, k, flat_index_map(H, W, spec), sampled=True)
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -256,6 +256,7 @@ def neighborhood_aggregate(
         raise ShapeError(
             f"attn shape {attn.shape} does not match values {(heads, H, W, n)}"
         )
+    check_float_dtypes("neighborhood_aggregate", v=v, attn=attn)
     return _lattice_matmul(attn, v, idx, sampled=False)
 
 
@@ -268,36 +269,28 @@ class KernelSaved:
     v: np.ndarray
     attn: np.ndarray
     spec: NeighborhoodSpec
-    scale: float
 
 
 def kernel_forward(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, spec: NeighborhoodSpec,
-    scale: float | None = None,
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, spec: NeighborhoodSpec
 ) -> tuple[np.ndarray, KernelSaved]:
-    """scores -> softmax -> aggregate, returning output and saved state."""
-    _check_qkhw(q, "q")
-    if scale is None:
-        scale = q.shape[-1] ** -0.5
-    attn = softmax_rows(neighborhood_scores(q, k, spec, scale))
+    """scores (plain q . k) -> softmax -> aggregate, returning output and saved state."""
+    attn = softmax_rows(neighborhood_scores(q, k, spec))
     out = neighborhood_aggregate(attn, v, spec)
-    return out, KernelSaved(q=q, k=k, v=v, attn=attn, spec=spec, scale=scale)
+    return out, KernelSaved(q=q, k=k, v=v, attn=attn, spec=spec)
 
 
 def kernel_backward(grads_out: np.ndarray, saved: KernelSaved) -> dict[str, np.ndarray]:
     """Analytic gradients of the scores -> softmax -> aggregate composite."""
-    q, k, v, attn, spec, scale = (
-        saved.q, saved.k, saved.v, saved.attn, saved.spec, saved.scale,
-    )
+    q, k, v, attn, spec = saved.q, saved.k, saved.v, saved.attn, saved.spec
     heads, H, W, dh = q.shape
     if grads_out.shape != v.shape:
         raise ShapeError(f"grads_out shape {grads_out.shape} != values {v.shape}")
+    check_float_dtypes("kernel_backward", v=v, grads_out=grads_out)
     idx = flat_index_map(H, W, spec)
 
     d_attn = _lattice_matmul(grads_out, v, idx, sampled=True)
     d_scores = attn * (d_attn - (attn * d_attn).sum(axis=-1, keepdims=True))
-    if scale != 1.0:
-        d_scores *= q.dtype.type(scale)  # scores use the scaled keys
 
     flat = (heads * H * W, dh)
     D = _sweep_matrix(d_scores, idx)

@@ -29,6 +29,7 @@ from .errors import ConfigError, DTypeError, ShapeError
 from .kernel import (
     KernelSaved,
     NeighborhoodSpec,
+    check_float_dtypes,
     kernel_backward,
     kernel_flops,
     kernel_forward,
@@ -238,7 +239,6 @@ class S3ASaved:
     saved1: KernelSaved
     saved2: KernelSaved
     params: S3AParams
-    scale: float
 
 
 def s3a_forward(
@@ -250,23 +250,23 @@ def s3a_forward(
     C, H, W = x.shape
     if C != cfg.channels:
         raise ShapeError(f"input has {C} channels, layer expects {cfg.channels}")
-    heads, dh = cfg.heads, cfg.head_dim
-    scale = dh**-0.5
+    check_float_dtypes("s3a_forward", x=x, **{n: a for n, a in vars(params).items() if a is not None})
+    heads = cfg.heads
 
     xf = x.reshape(C, H * W)
     qkv = params.w_qkv @ xf + params.b_qkv[:, None]
     q, k, v = qkv[:C], qkv[C : 2 * C], qkv[2 * C :]
-    k_scaled = k * x.dtype.type(scale)
+    k_scaled = k * x.dtype.type(cfg.head_dim**-0.5)
 
     qh = _split_heads(q, heads, H, W)
     kh = _split_heads(k_scaled, heads, H, W)
     vh = _split_heads(v, heads, H, W)
 
     spec1 = NeighborhoodSpec(cfg.window)
-    out1, saved1 = kernel_forward(qh, kh, vh, spec1, scale=1.0)
+    out1, saved1 = kernel_forward(qh, kh, vh, spec1)
 
     spec2 = NeighborhoodSpec(cfg.anchors, resolved_strides(cfg, H, W))
-    out2, saved2 = kernel_forward(qh, kh, out1, spec2, scale=1.0)
+    out2, saved2 = kernel_forward(qh, kh, out1, spec2)
 
     attn_out = _merge_heads(out2)
     out = params.w_out @ attn_out + params.b_out[:, None]
@@ -276,7 +276,7 @@ def s3a_forward(
 
     saved = S3ASaved(
         cfg=cfg, x=x, qkv=qkv, attn_out=attn_out,
-        saved1=saved1, saved2=saved2, params=params, scale=scale,
+        saved1=saved1, saved2=saved2, params=params,
     )
     return out.reshape(C, H, W), saved
 
@@ -290,6 +290,7 @@ def s3a_backward(grad_out: np.ndarray, saved: S3ASaved) -> dict[str, np.ndarray]
     C, H, W = saved.x.shape
     if grad_out.shape != saved.x.shape:
         raise ShapeError(f"grad shape {grad_out.shape} != input shape {saved.x.shape}")
+    check_float_dtypes("s3a_backward", x=saved.x, grad_out=grad_out)
     heads = cfg.heads
     xf = saved.x.reshape(C, H * W)
     g = grad_out.reshape(C, H * W)
@@ -315,7 +316,7 @@ def s3a_backward(grad_out: np.ndarray, saved: S3ASaved) -> dict[str, np.ndarray]
     b1 = kernel_backward(b2["grad_v"], saved.saved1)
 
     dq = _merge_heads(b1["grad_q"] + b2["grad_q"])
-    dk = _merge_heads(b1["grad_k"] + b2["grad_k"]) * saved.x.dtype.type(saved.scale)
+    dk = _merge_heads(b1["grad_k"] + b2["grad_k"]) * saved.x.dtype.type(cfg.head_dim**-0.5)
     dv = _merge_heads(b1["grad_v"]) + d_v_extra
 
     d_qkv = np.concatenate([dq, dk, dv], axis=0)

@@ -92,11 +92,8 @@ class ModelConfig:
                 )
         if any(a >= b for a, b in zip(self.channels, self.channels[1:])):
             raise ConfigError(f"channels must strictly increase, got {self.channels}")
-        for c, h in zip(self.channels, self.heads):
-            if c % h:
-                raise ConfigError(f"channels {c} not divisible by heads {h}")
         for i in range(NUM_STAGES):
-            self.stage_s3a(i)  # surface bad window/anchors/stride now
+            self.stage_s3a(i)  # surface bad heads/window/anchors/stride now
 
     def stage_s3a(self, i: int) -> S3AConfig:
         """Attention configuration of stage i (0-based)."""

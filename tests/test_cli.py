@@ -168,6 +168,16 @@ def test_check_tolerance_override(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "-inf"])
+def test_check_nan_or_negative_tolerance_is_rejected(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--suite", "params", "--tol", f"params={value}"])
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="must be >= 0"):
+        run_checks(["params"], tols={"params": float(value)})
+
+
 def test_check_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--suite", "nosuch"])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ssattn.errors import (
     ConfigError,
+    DTypeError,
     EmptyDomainError,
     NumericError,
     ShapeError,
@@ -138,6 +139,7 @@ _odd_kernel = st.sampled_from([1, 3, 5, 7, 9])
 @example(H=6, W=9, kh=3, kw=5, dh=7, dw=12)  # dilation larger than either side
 @example(H=56, W=56, kh=7, kw=7, dh=8, dw=8)  # stage-1 anchors: runs 25, 1 x 6, 25
 @example(H=20, W=36, kh=3, kw=3, dh=1, dw=1)  # local window, non-square
+@example(H=10, W=9, kh=3, kw=3, dh=4, dw=4)  # two adjacent edge runs down, one whole-axis run across
 def test_run_classes_tile_the_map_with_shared_key_sets(H, W, kh, kw, dh, dw):
     idx = flat_index_map(H, W, NeighborhoodSpec((kh, kw), (dh, dw)))
     cover = np.zeros((H, W), dtype=np.int64)
@@ -169,16 +171,14 @@ def test_single_site_attention_is_identity_on_values():
     assert np.allclose(out, v, atol=1e-12)
 
 
-def test_scores_default_scale_is_inverse_sqrt_head_dim():
+def test_scores_are_plain_dot_products_with_lattice_rows():
     g = gen(8)
-    q = g.normal(size=(1, 4, 4, 9))
-    k = g.normal(size=(1, 4, 4, 9))
-    spec = NeighborhoodSpec((3, 3))
-    implicit = neighborhood_scores(q, k, spec)
-    explicit = neighborhood_scores(q, k, spec, scale=9**-0.5)
-    assert np.array_equal(implicit, explicit)
-    unscaled = neighborhood_scores(q, k, spec, scale=1.0)
-    assert np.allclose(implicit, unscaled / 3.0, atol=1e-6)
+    q = g.normal(size=(2, 5, 4, 9))
+    k = g.normal(size=(2, 5, 4, 9))
+    spec = NeighborhoodSpec((3, 3), (2, 1))
+    rows = k.reshape(2, 20, 9)[:, flat_index_map(5, 4, spec)]  # [heads, H, W, n, dh]
+    want = np.einsum("ahwd,ahwnd->ahwn", q, rows)
+    assert np.allclose(neighborhood_scores(q, k, spec), want, rtol=0, atol=1e-12)
 
 
 def test_softmax_matches_float64_reference():
@@ -242,7 +242,7 @@ def test_forward_agrees_with_bruteforce_reference():
         k = g.normal(size=(heads, H, W, dh))
         v = g.normal(size=(heads, H, W, dh))
         out, _ = kernel_forward(q, k, v, NeighborhoodSpec(kernel, dilation))
-        ref = oracle_kernel(q, k, v, kernel, dilation)
+        ref = oracle_kernel(q, k, v, kernel, dilation, scale=1.0)
         assert np.abs(out - ref).max() <= 1e-6, (heads, H, W, dh, kernel, dilation)
 
 
@@ -252,7 +252,7 @@ def test_forward_single_precision_agrees_with_reference():
     k = g.normal(size=(2, 6, 6, 4)).astype(np.float32)
     v = g.normal(size=(2, 6, 6, 4)).astype(np.float32)
     out, _ = kernel_forward(q, k, v, NeighborhoodSpec((3, 3)))
-    ref = oracle_kernel(q, k, v, (3, 3))
+    ref = oracle_kernel(q, k, v, (3, 3), scale=1.0)
     assert out.dtype == np.float32
     assert np.abs(out.astype(np.float64) - ref).max() <= 1e-4
 
@@ -313,9 +313,10 @@ def test_backward_single_precision_tolerance():
         spec = NeighborhoodSpec((3, 3))
         _, saved = kernel_forward(q, k, v, spec)
         grads = kernel_backward(cot, saved)
-        f_of = _objective(q, k, v, spec, cot)
+        wide = {name: t.astype(np.float64) for name, t in zip("qkv", (q, k, v))}
+        f_of = _objective(wide["q"], wide["k"], wide["v"], spec, cot.astype(np.float64))
         for name, key in [("q", "grad_q"), ("k", "grad_k"), ("v", "grad_v")]:
-            fd = fd_gradient(f_of(name), {"q": q, "k": k, "v": v}[name], step=1e-3)
+            fd = fd_gradient(f_of(name), wide[name], step=1e-3)
             rel = np.abs(grads[key].astype(np.float64) - fd).max() / (np.abs(fd).max() + 1e-12)
             assert rel <= 1e-2, (name, rel)
 
@@ -338,7 +339,7 @@ def test_sparse_sweeps_match_oracle_and_finite_differences(
     q, k, v, cot = (g.normal(size=(heads, H, W, dh)).astype(dtype) for _ in range(4))
     out, saved = kernel_forward(q, k, v, spec)
     assert out.dtype == dtype
-    assert np.abs(out - oracle_kernel(q, k, v, kernel, dilation)).max() <= tol
+    assert np.abs(out - oracle_kernel(q, k, v, kernel, dilation, scale=1.0)).max() <= tol
     grads = kernel_backward(cot, saved)
     wide = {name: t.astype(np.float64) for name, t in zip("qkv", (q, k, v))}
     f_of = _objective(wide["q"], wide["k"], wide["v"], spec, cot.astype(np.float64))
@@ -377,6 +378,35 @@ def test_backward_state_guards():
     # the cotangent must match the saved values
     with pytest.raises(ShapeError):
         kernel_backward(np.zeros((1, 2, 2, 3)), saved)
+
+
+def test_scores_reject_mixed_or_non_float_operands():
+    spec = NeighborhoodSpec((3, 3))
+    q = np.zeros((1, 4, 4, 2))
+    for a, b in ((q, q.astype(np.float32)), (q.astype(np.float32), q), (q.astype(np.int64),) * 2):
+        with pytest.raises(DTypeError, match="neighborhood_scores"):
+            neighborhood_scores(a, b, spec)
+
+
+def test_aggregate_rejects_mixed_or_non_float_operands():
+    spec = NeighborhoodSpec((3, 3))
+    attn, v = np.full((1, 4, 4, 9), 1 / 9), np.zeros((1, 4, 4, 2))
+    for a, b in ((attn.astype(np.float32), v), (attn, v.astype(np.float32)), (attn, v.astype(np.int64))):
+        with pytest.raises(DTypeError, match="neighborhood_aggregate"):
+            neighborhood_aggregate(a, b, spec)
+
+
+def test_forward_rejects_integer_operands():
+    ints = np.ones((1, 4, 4, 2), dtype=np.int64)
+    with pytest.raises(DTypeError):
+        kernel_forward(ints, ints, ints, NeighborhoodSpec((3, 3)))
+
+
+def test_backward_rejects_a_cotangent_of_another_dtype():
+    q = gen(35).normal(size=(1, 3, 3, 2))
+    _, saved = kernel_forward(q, q, q, NeighborhoodSpec((3, 3)))
+    with pytest.raises(DTypeError, match="kernel_backward: grads_out is float32 but v is float64"):
+        kernel_backward(q.astype(np.float32), saved)
 
 
 # ---------------------------------------------------------------------------

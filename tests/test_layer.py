@@ -226,6 +226,28 @@ def test_depthwise_rejects_mixed_dtypes():
             depthwise_backward(*args)
 
 
+@pytest.mark.parametrize("lce", [False, True])
+def test_layer_forward_rejects_mixed_or_non_float_operands(lce):
+    cfg = S3AConfig(channels=4, heads=2, lce=lce)
+    p64 = init_s3a_params(cfg, Rng(0), dtype=np.float64)
+    x = np.zeros((4, 5, 5))
+    with pytest.raises(DTypeError, match="^s3a_forward: w_qkv is float64 but x is float32$"):
+        s3a_forward(x.astype(np.float32), p64, cfg)
+    with pytest.raises(DTypeError, match="^s3a_forward: x has non-floating dtype int64$"):
+        s3a_forward(x.astype(np.int64), p64, cfg)
+    if lce:  # one tensor of another dtype, the LCE filter
+        with pytest.raises(DTypeError, match="lce_filt is float32"):
+            s3a_forward(x, S3AParams(**{**vars(p64), "lce_filt": p64.lce_filt.astype(np.float32)}), cfg)
+
+
+def test_layer_backward_rejects_a_cotangent_of_another_dtype():
+    cfg = S3AConfig(channels=4, heads=2, lce=False)
+    x = gen(36).normal(size=(4, 5, 5)).astype(np.float32)
+    out, saved = s3a_forward(x, init_s3a_params(cfg, Rng(0), dtype=np.float32), cfg)
+    with pytest.raises(DTypeError, match="^s3a_backward: grad_out is float64 but x is float32$"):
+        s3a_backward(out.astype(np.float64), saved)
+
+
 def test_depthwise_shape_guards():
     x = np.zeros((3, 6, 6))
     filt, bias = np.zeros((3, 3, 3)), np.zeros(3)

@@ -78,6 +78,8 @@ def test_config_rejects_degenerate_settings():
         ModelConfig("x", **base, classes=0)
     with pytest.raises(ConfigError):
         ModelConfig("x", **{**base, "heads": (3, 2, 4, 8)})  # 8 % 3
+    with pytest.raises(ConfigError, match="^channels 64 not divisible by heads 7$"):
+        tiny_config(heads=(1, 2, 4, 7))  # raised by the stage-4 S3AConfig
     with pytest.raises(ConfigError):
         ModelConfig("x", **{**base, "blocks": (1, 1, 1)})  # three stages
     with pytest.raises(ConfigError):
