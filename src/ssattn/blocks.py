@@ -30,7 +30,7 @@ from .layer import (
     init_s3a_params,
     s3a_forward,
 )
-from .tensor import DEFAULT_DTYPE, Rng, randn
+from .tensor import DEFAULT_DTYPE, Rng, check_float_dtypes, randn
 
 LN_EPS = 1e-6
 CPE_KERNEL = 3
@@ -41,16 +41,18 @@ _SQRT2 = float(np.sqrt(2.0))
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """Exact Gaussian-error-linear unit: x * Phi(x) via erf."""
+    check_float_dtypes("gelu", x=x)
     return 0.5 * x * (1.0 + erf(x / x.dtype.type(_SQRT2)))
 
 
-def layernorm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, eps: float = LN_EPS) -> np.ndarray:
+def layernorm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Normalize each spatial site over the channel axis of a [C, H, W] map."""
+    check_float_dtypes("layernorm", x=x, scale=scale, shift=shift)
     if x.ndim != 3 or scale.shape != (x.shape[0],) or shift.shape != (x.shape[0],):
         raise ShapeError(f"layernorm shapes: x {x.shape}, scale {scale.shape}, shift {shift.shape}")
     mean = x.mean(axis=0, keepdims=True)
     var = x.var(axis=0, keepdims=True)
-    y = (x - mean) / np.sqrt(var + x.dtype.type(eps))
+    y = (x - mean) / np.sqrt(var + x.dtype.type(LN_EPS))
     return y * scale[:, None, None] + shift[:, None, None]
 
 
@@ -62,6 +64,7 @@ def conv2d(
     padding: int = 0,
 ) -> np.ndarray:
     """Dense 2D convolution of a [Cin, H, W] map with [Cout, Cin, kh, kw] filters."""
+    check_float_dtypes("conv2d", x=x, w=w, b=b)
     if x.ndim != 3 or w.ndim != 4 or w.shape[1] != x.shape[0]:
         raise ShapeError(f"conv2d expects x [Cin,H,W] and w [Cout,Cin,kh,kw], got {x.shape}, {w.shape}")
     kh, kw = w.shape[2:]

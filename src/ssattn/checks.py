@@ -4,15 +4,23 @@ against an independent route.
 Each suite compares the fast implementation to a reference that shares
 no index machinery with it — brute-force point-set attention, dense
 full attention, straight-line single-stage composition, closed-form
-counts, finite differences — and returns a CheckResult with the
-measured worst error, the tolerance, and the case count. The CLI
-`check` command and the acceptance tests both run these functions.
+counts, finite differences. A suite is one function registered with
+`@_suite(name, budget)`: its body takes (seed, cases, tol) and returns
+(passed, cases, max_err, tol, detail). The decorator enters it in
+`CHECKS` and its wall-clock budget in `BUDGETS`, in definition order,
+and wraps it so that every call, direct or through `run_checks`,
+raises ConfigError unless `cases` is an integer >= 1 and `tol` a
+number >= 0 (NaN is not), times the body, and returns a named
+CheckResult. The CLI `check` command and the acceptance tests both
+run these functions.
 """
 from __future__ import annotations
 
+import numbers
 import os
 import tempfile
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -66,21 +74,6 @@ from .tensor import Rng, ShapeOnly, philox
 PARAM_TARGETS = {"ssvit-t": 15e6, "ssvit-s": 27e6, "ssvit-b": 57e6, "ssvit-l": 100e6}
 FLOP_TARGET_T224 = 2.4e9
 
-# wall-clock budgets (seconds) the acceptance suite holds each check to;
-# criterion 6 holds lattice, normalization and equivariance to 60 s together
-BUDGETS = {
-    "params": 1.0,
-    "flops": 1.0,
-    "oracle": 120.0,
-    "degeneracy": 30.0,
-    "gradients": 180.0,
-    "lattice": 60.0,
-    "normalization": 60.0,
-    "equivariance": 60.0,
-    "identity": 30.0,
-    "io": 30.0,
-}
-
 
 @dataclass
 class CheckResult:
@@ -94,6 +87,40 @@ class CheckResult:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "passed": bool(self.passed), "seconds": round(self.seconds, 4)}
+
+
+CHECKS: dict[str, Callable[..., CheckResult]] = {}
+# wall-clock budgets (seconds) the acceptance suite holds each check to;
+# criterion 6 holds lattice, normalization and equivariance to 60 s together
+BUDGETS: dict[str, float] = {}
+
+
+def validate_tol(name: str, tol: float) -> float:
+    """A suite tolerance, or ConfigError unless it is a real number >= 0 (NaN is not)."""
+    if not (isinstance(tol, numbers.Real) and tol >= 0):
+        raise ConfigError(f"tolerance for {name!r} must be >= 0, got {tol!r}")
+    return tol
+
+
+def _suite(name: str, budget: float):
+    """Register a suite body under name, with its budget, as a checked and timed suite."""
+
+    def register(body):
+        def suite(seed: int = 0, cases: int | None = None, tol: float | None = None) -> CheckResult:
+            if cases is not None and not (isinstance(cases, numbers.Integral) and cases >= 1):
+                raise ConfigError(f"cases must be an integer >= 1, got {cases!r}")
+            if tol is not None:
+                validate_tol(name, tol)
+            t0 = time.perf_counter()
+            passed, n, max_err, used_tol, detail = body(seed, cases, tol)
+            return CheckResult(name, passed, n, max_err, used_tol, time.perf_counter() - t0, detail)
+
+        suite.__name__ = suite.__qualname__ = body.__name__
+        suite.__doc__ = body.__doc__
+        CHECKS[name], BUDGETS[name] = suite, budget
+        return suite
+
+    return register
 
 
 def _map_layer(params: S3AParams, fn) -> S3AParams:
@@ -115,9 +142,9 @@ def _cast_layer(params: S3AParams, dtype) -> S3AParams:
 # criterion: parameter counts
 
 
-def check_params(seed: int = 0, cases: int | None = None, tol: float | None = None) -> CheckResult:
+@_suite("params", 1.0)
+def check_params(seed, cases, tol):
     """Analytic parameter totals of the four presets vs their targets."""
-    t0 = time.perf_counter()
     tol = 0.10 if tol is None else tol
     detail, worst = {}, 0.0
     for name, target in PARAM_TARGETS.items():
@@ -128,19 +155,16 @@ def check_params(seed: int = 0, cases: int | None = None, tol: float | None = No
     totals = [detail[n]["total"] for n in ("ssvit-t", "ssvit-s", "ssvit-b", "ssvit-l")]
     monotone = all(a < b for a, b in zip(totals, totals[1:]))
     detail["monotone_t_s_b_l"] = monotone
-    return CheckResult(
-        "params", worst <= tol and monotone, len(PARAM_TARGETS), worst, tol,
-        time.perf_counter() - t0, detail,
-    )
+    return worst <= tol and monotone, len(PARAM_TARGETS), worst, tol, detail
 
 
 # ---------------------------------------------------------------------------
 # criterion: FLOP counts
 
 
-def check_flops(seed: int = 0, cases: int | None = None, tol: float | None = None) -> CheckResult:
+@_suite("flops", 1.0)
+def check_flops(seed, cases, tol):
     """MAC total for the smallest preset at 224x224, itemized per stage."""
-    t0 = time.perf_counter()
     tol = 0.15 if tol is None else tol
     tree = count_flops(MODEL_PRESETS["ssvit-t"], 224, 224)
     total = tree.total()
@@ -157,16 +181,16 @@ def check_flops(seed: int = 0, cases: int | None = None, tol: float | None = Non
         "ssvit-b@224": int(count_flops(MODEL_PRESETS["ssvit-b"], 224, 224).total()),
         "ssvit-l@224": int(count_flops(MODEL_PRESETS["ssvit-l"], 224, 224).total()),
     }
-    return CheckResult("flops", dev <= tol, 1, dev, tol, time.perf_counter() - t0, detail)
+    return dev <= tol, 1, dev, tol, detail
 
 
 # ---------------------------------------------------------------------------
 # criterion: oracle equivalence
 
 
-def check_oracle(seed: int = 0, cases: int | None = None, tol: float | None = None) -> CheckResult:
+@_suite("oracle", 120.0)
+def check_oracle(seed, cases, tol):
     """Layer forward vs the brute-force point-set reference."""
-    t0 = time.perf_counter()
     n_cases = 200 if cases is None else cases
     tol64 = 1e-6 if tol is None else tol
     tol32 = 1e-4 if tol is None else tol * 100
@@ -196,10 +220,9 @@ def check_oracle(seed: int = 0, cases: int | None = None, tol: float | None = No
         else:
             err32 = max(err32, err)
     passed = err64 <= tol64 and err32 <= tol32
-    return CheckResult(
-        "oracle", passed, n_cases, err64, tol64, time.perf_counter() - t0,
-        {"max_err_f64": err64, "tol_f64": tol64, "max_err_f32": err32, "tol_f32": tol32},
-    )
+    return passed, n_cases, err64, tol64, {
+        "max_err_f64": err64, "tol_f64": tol64, "max_err_f32": err32, "tol_f32": tol32,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +268,9 @@ def _single_stage_route(x: np.ndarray, params: S3AParams, cfg: S3AConfig) -> np.
     return y.reshape(C, H, W)
 
 
-def check_degeneracy(seed: int = 0, cases: int | None = None, tol: float | None = None) -> CheckResult:
+@_suite("degeneracy", 30.0)
+def check_degeneracy(seed, cases, tol):
     """Collapsed-geometry equivalences against independent formulations."""
-    t0 = time.perf_counter()
     per_suite = 20 if cases is None else max(1, cases // 2)
     tol_dense = 1e-5 if tol is None else tol
     tol_single = 1e-6 if tol is None else tol
@@ -288,12 +311,10 @@ def check_degeneracy(seed: int = 0, cases: int | None = None, tol: float | None 
         err_single = max(err_single, float(np.max(np.abs(out.astype(np.float64) - ref.astype(np.float64)))))
 
     passed = err_dense <= tol_dense and err_single <= tol_single
-    return CheckResult(
-        "degeneracy", passed, 2 * per_suite, max(err_dense, err_single),
-        max(tol_dense, tol_single), time.perf_counter() - t0,
-        {"dense_max_err": err_dense, "dense_tol": tol_dense,
-         "single_stage_max_err": err_single, "single_stage_tol": tol_single},
-    )
+    return passed, 2 * per_suite, max(err_dense, err_single), max(tol_dense, tol_single), {
+        "dense_max_err": err_dense, "dense_tol": tol_dense,
+        "single_stage_max_err": err_single, "single_stage_tol": tol_single,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +326,9 @@ def _layer_objective(x, params, cfg, cot) -> float:
     return float((out.astype(np.float64) * cot).sum())
 
 
-def check_gradients(seed: int = 0, cases: int | None = None, tol: float | None = None) -> CheckResult:
+@_suite("gradients", 180.0)
+def check_gradients(seed, cases, tol):
     """Analytic layer backward vs central finite differences."""
-    t0 = time.perf_counter()
     n_cases = 25 if cases is None else cases
     tol64 = 1e-6 if tol is None else tol
     tol32 = 1e-2 if tol is None else max(tol, 1e-2)
@@ -354,20 +375,19 @@ def check_gradients(seed: int = 0, cases: int | None = None, tol: float | None =
         else:
             err64 = max(err64, worst)
     passed = err64 <= tol64 and err32 <= tol32
-    return CheckResult(
-        "gradients", passed, n_cases, err64, tol64, time.perf_counter() - t0,
-        {"max_rel_err_f64": err64, "tol_f64": tol64, "max_rel_err_f32": err32, "tol_f32": tol32,
-         "fd_step": step},
-    )
+    return passed, n_cases, err64, tol64, {
+        "max_rel_err_f64": err64, "tol_f64": tol64, "max_rel_err_f32": err32, "tol_f32": tol32,
+        "fd_step": step,
+    }
 
 
 # ---------------------------------------------------------------------------
 # criterion: lattice and stochasticity properties
 
 
-def check_lattice(seed: int = 0, cases: int | None = None, tol: float | None = None) -> CheckResult:
+@_suite("lattice", 60.0)
+def check_lattice(seed, cases, tol):
     """Legality, cardinality constancy, interior symmetry, oracle agreement."""
-    t0 = time.perf_counter()
     n_cases = 500 if cases is None else cases
     g = philox(seed, 3)
     failures = 0
@@ -387,15 +407,12 @@ def check_lattice(seed: int = 0, cases: int | None = None, tol: float | None = N
         counts = {len(clamped_lattice(c, side, k, d)) for c in range(side)}
         ok &= len(counts) == 1
         failures += 0 if ok else 1
-    return CheckResult(
-        "lattice", failures == 0, n_cases, float(failures), 0.0,
-        time.perf_counter() - t0, {"failures": failures},
-    )
+    return failures == 0, n_cases, float(failures), 0.0, {"failures": failures}
 
 
-def check_normalization(seed: int = 0, cases: int | None = None, tol: float | None = None) -> CheckResult:
+@_suite("normalization", 60.0)
+def check_normalization(seed, cases, tol):
     """Attention rows sum to one and stay inside [0, 1]."""
-    t0 = time.perf_counter()
     n_cases = 500 if cases is None else cases
     tol = 1e-6 if tol is None else tol
     g = philox(seed, 4)
@@ -415,15 +432,12 @@ def check_normalization(seed: int = 0, cases: int | None = None, tol: float | No
         max_dev = max(max_dev, float(np.max(np.abs(attn.sum(axis=-1) - 1.0))))
         bound_ok &= bool(attn.min() >= 0.0 and attn.max() <= 1.0 + tol)
         rows += heads * H * W
-    return CheckResult(
-        "normalization", max_dev <= tol and bound_ok, rows, max_dev, tol,
-        time.perf_counter() - t0, {"rows": rows, "entries_in_unit_interval": bound_ok},
-    )
+    return max_dev <= tol and bound_ok, rows, max_dev, tol, {"rows": rows, "entries_in_unit_interval": bound_ok}
 
 
-def check_equivariance(seed: int = 0, cases: int | None = None, tol: float | None = None) -> CheckResult:
+@_suite("equivariance", 60.0)
+def check_equivariance(seed, cases, tol):
     """Translated inputs give translated outputs on interior lattices."""
-    t0 = time.perf_counter()
     n_cases = 500 if cases is None else cases
     tol = 1e-6 if tol is None else tol
     g = philox(seed, 5)
@@ -457,10 +471,7 @@ def check_equivariance(seed: int = 0, cases: int | None = None, tol: float | Non
                 delta = np.abs(out2[:, i + sh, j + sw, :] - out1[:, i, j, :])
                 max_err = max(max_err, float(delta.max()))
                 compared += 1
-    return CheckResult(
-        "equivariance", max_err <= tol, compared, max_err, tol,
-        time.perf_counter() - t0, {"queries_compared": compared},
-    )
+    return max_err <= tol, compared, max_err, tol, {"queries_compared": compared}
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +495,9 @@ def tiny_config(name: str = "tiny", **overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
-def check_identity(seed: int = 0, cases: int | None = None, tol: float | None = None) -> CheckResult:
+@_suite("identity", 30.0)
+def check_identity(seed, cases, tol):
     """Zero-parameter blocks are exact identities; model shapes hold."""
-    t0 = time.perf_counter()
     g = philox(seed, 6)
     max_dev = 0.0
     runs = 0
@@ -507,19 +518,16 @@ def check_identity(seed: int = 0, cases: int | None = None, tol: float | None = 
         shape_ok &= logits.shape == (cfg.classes,) and bool(np.isfinite(logits).all())
         runs += 1
     passed = max_dev == 0.0 and shape_ok
-    return CheckResult(
-        "identity", passed, runs, max_dev, 0.0, time.perf_counter() - t0,
-        {"geometries": len(geometries), "shape_ok": shape_ok},
-    )
+    return passed, runs, max_dev, 0.0, {"geometries": len(geometries), "shape_ok": shape_ok}
 
 
 # ---------------------------------------------------------------------------
 # criterion: format round-trips
 
 
-def check_io(seed: int = 0, cases: int | None = None, tol: float | None = None) -> CheckResult:
+@_suite("io", 30.0)
+def check_io(seed, cases, tol):
     """Bitwise tensor/checkpoint round trips; corruption raises named errors."""
-    t0 = time.perf_counter()
     n_tensors = 100 if cases is None else cases
     g = philox(seed, 8)
     ok = True
@@ -554,69 +562,31 @@ def check_io(seed: int = 0, cases: int | None = None, tol: float | None = None) 
         detail["checkpoint_round_trips"] = ckpt_ok
 
         # corruption must surface as the specific named error
-        arr = g.normal(size=(3, 4)).astype(np.float32)
-        blob = tensor_to_bytes(arr)
+        blob = tensor_to_bytes(g.normal(size=(3, 4)).astype(np.float32))
+        with open(os.path.join(tmp, "m0.ssc"), "rb") as fh:
+            cblob = fh.read()
         corruptions = {
-            "magic": (b"XXXX" + blob[4:], MagicError),
-            "truncated": (blob[:-5], TruncatedPayloadError),
-            "oversized": (blob + b"\x00" * 4, PayloadSizeError),
+            "magic": (load_tensor, b"XXXX" + blob[4:], MagicError),
+            "truncated": (load_tensor, blob[:-5], TruncatedPayloadError),
+            "oversized": (load_tensor, blob + b"\x00" * 4, PayloadSizeError),
+            # stomp bytes inside the trailing JSON manifest
+            "manifest": (load_checkpoint, cblob[:-20] + b"\xff\xfe\xfd" + cblob[-17:], ManifestError),
         }
         named = {}
-        for label, (bad, err_type) in corruptions.items():
-            bad_path = os.path.join(tmp, "bad.sst")
+        bad_path = os.path.join(tmp, "bad")
+        for label, (loader, bad, err_type) in corruptions.items():
             with open(bad_path, "wb") as fh:
                 fh.write(bad)
             try:
-                load_tensor(bad_path)
+                loader(bad_path)
                 named[label] = "no error"
             except err_type:
                 named[label] = err_type.__name__
             except SSAttnError as exc:
                 named[label] = f"wrong error {type(exc).__name__}"
-        ok &= all(v.endswith("Error") and not v.startswith("wrong") for v in named.values())
-
-        cpath = os.path.join(tmp, "m0.ssc")
-        with open(cpath, "rb") as fh:
-            cblob = fh.read()
-        bad_ckpt = os.path.join(tmp, "bad.ssc")
-        # stomp bytes inside the trailing JSON manifest
-        with open(bad_ckpt, "wb") as fh:
-            fh.write(cblob[:-20] + b"\xff\xfe\xfd" + cblob[-17:])
-        try:
-            load_checkpoint(bad_ckpt)
-            named["manifest"] = "no error"
-        except ManifestError:
-            named["manifest"] = "ManifestError"
-        except SSAttnError as exc:
-            named["manifest"] = f"wrong error {type(exc).__name__}"
-        ok &= named["manifest"] == "ManifestError"
+        ok &= all(named[label] == err_type.__name__ for label, (_, _, err_type) in corruptions.items())
         detail["corruption_errors"] = named
-    return CheckResult("io", ok, n_tensors + 2 + 4, None, None, time.perf_counter() - t0, detail)
-
-
-# ---------------------------------------------------------------------------
-# registry
-
-
-CHECKS = {
-    "params": check_params,
-    "flops": check_flops,
-    "oracle": check_oracle,
-    "degeneracy": check_degeneracy,
-    "gradients": check_gradients,
-    "lattice": check_lattice,
-    "normalization": check_normalization,
-    "equivariance": check_equivariance,
-    "identity": check_identity,
-    "io": check_io,
-}
-
-
-def validate_tol(name: str, tol: float) -> float:
-    """A suite tolerance, or ConfigError unless it is a number >= 0 (NaN is not)."""
-    if not tol >= 0:
-        raise ConfigError(f"tolerance for {name!r} must be >= 0, got {tol!r}")
-    return tol
+    return ok, n_tensors + 2 + 4, None, None, detail
 
 
 def run_checks(
@@ -625,14 +595,13 @@ def run_checks(
     cases: int | None = None,
     tols: dict[str, float] | None = None,
 ) -> list[CheckResult]:
-    """Run the named suites (all by default) and collect their results."""
+    """Run the named suites (all by default) and collect their results.
+
+    Every name and tolerance is checked before the first suite runs.
+    """
     names = list(CHECKS) if not names else names
-    if cases is not None and cases < 1:
-        raise ConfigError(f"cases must be >= 1, got {cases}")
-    tols = {name: validate_tol(name, tol) for name, tol in (tols or {}).items()}
-    results = []
     for name in names:
         if name not in CHECKS:
             raise ConfigError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
-        results.append(CHECKS[name](seed=seed, cases=cases, tol=tols.get(name)))
-    return results
+    tols = {name: validate_tol(name, tol) for name, tol in (tols or {}).items()}
+    return [CHECKS[name](seed=seed, cases=cases, tol=tols.get(name)) for name in names]

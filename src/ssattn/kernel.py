@@ -44,7 +44,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigError, DTypeError, EmptyDomainError, NumericError, ShapeError
+from .errors import ConfigError, EmptyDomainError, NumericError, ShapeError
+from .tensor import check_float_dtypes
 
 
 @dataclass(frozen=True)
@@ -202,16 +203,6 @@ def _check_qkhw(t: np.ndarray, name: str) -> tuple[int, int, int, int]:
     if t.ndim != 4 or t.shape[0] < 1 or t.shape[3] < 1:
         raise ShapeError(f"{name} must be [heads, H, W, dh] with heads, dh >= 1, got shape {t.shape}")
     return t.shape
-
-
-def check_float_dtypes(where: str, **operands: np.ndarray) -> None:
-    """DTypeError unless the first operand is floating and the rest share its dtype."""
-    (first, a0), *rest = operands.items()
-    if a0.dtype.kind != "f":
-        raise DTypeError(f"{where}: {first} has non-floating dtype {a0.dtype}")
-    for name, a in rest:
-        if a.dtype != a0.dtype:
-            raise DTypeError(f"{where}: {name} is {a.dtype} but {first} is {a0.dtype}")
 
 
 def neighborhood_scores(q: np.ndarray, k: np.ndarray, spec: NeighborhoodSpec) -> np.ndarray:

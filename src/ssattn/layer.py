@@ -25,16 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DTypeError, ShapeError
+from .errors import ConfigError, ShapeError
 from .kernel import (
     KernelSaved,
     NeighborhoodSpec,
-    check_float_dtypes,
     kernel_backward,
     kernel_flops,
     kernel_forward,
 )
-from .tensor import DEFAULT_DTYPE, Rng, ShapeOnly, randn
+from .tensor import DEFAULT_DTYPE, Rng, ShapeOnly, check_float_dtypes, randn
 
 LCE_KERNEL = 5
 INIT_STD = 0.02
@@ -141,15 +140,13 @@ def _tap_window(x: np.ndarray, kh: int, kw: int, pad: tuple[int, int], stride: i
     return sliding_window_view(_padded(x, kh, kw, pad), (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
 
 
-def _check_depthwise(x: np.ndarray, filt: np.ndarray, *others: np.ndarray) -> None:
-    """ShapeError unless x is [C, H, W] and filt [C, kh, kw] with odd kh and kw;
-    DTypeError unless filt and others share x's dtype."""
+def _check_depthwise(where: str, x: np.ndarray, filt: np.ndarray, **others: np.ndarray) -> None:
+    """DTypeError unless x is floating and filt and others share its dtype;
+    ShapeError unless x is [C, H, W] and filt [C, kh, kw] with odd kh and kw."""
+    check_float_dtypes(where, x=x, filt=filt, **others)
     odd = filt.ndim == 3 and filt.shape[1] % 2 == 1 and filt.shape[2] % 2 == 1
     if x.ndim != 3 or not odd or filt.shape[0] != x.shape[0]:
         raise ShapeError(f"depthwise expects x [C,H,W] and filt [C,odd,odd], got {x.shape}, {filt.shape}")
-    for arr in (filt, *others):
-        if arr.dtype != x.dtype:
-            raise DTypeError(f"depthwise operands mix dtypes: {x.dtype} and {arr.dtype}")
 
 
 def _flat_padded(x: np.ndarray, kh: int, kw: int) -> tuple[np.ndarray, int]:
@@ -186,7 +183,7 @@ def depthwise_forward(x: np.ndarray, filt: np.ndarray, bias: np.ndarray) -> np.n
     multiply-add per tap over a shifted slice of the flat padded map, so no
     [C, H, W, kh, kw] copy is made.
     """
-    _check_depthwise(x, filt, bias)
+    _check_depthwise("depthwise_forward", x, filt, bias=bias)
     if bias.shape != (x.shape[0],):
         raise ShapeError(f"depthwise bias must be [{x.shape[0]}], got {bias.shape}")
     return _depthwise_taps(x, filt) + bias[:, None, None]
@@ -202,7 +199,7 @@ def depthwise_backward(
     window of the padded x that tap (u, v) reads, so the flat layout's
     dropped columns never enter a sum.
     """
-    _check_depthwise(x, filt, g)
+    _check_depthwise("depthwise_backward", x, filt, g=g)
     if g.shape != x.shape:
         raise ShapeError(f"depthwise cotangent shape {g.shape} != input shape {x.shape}")
     dx = _depthwise_taps(g, filt[:, ::-1, ::-1])
@@ -245,12 +242,12 @@ def s3a_forward(
     x: np.ndarray, params: S3AParams, cfg: S3AConfig
 ) -> tuple[np.ndarray, S3ASaved]:
     """Apply the layer to a [C, H, W] map; returns output and saved state."""
+    check_float_dtypes("s3a_forward", x=x, **vars(params))
     if x.ndim != 3:
         raise ShapeError(f"expected [C, H, W] input, got shape {x.shape}")
     C, H, W = x.shape
     if C != cfg.channels:
         raise ShapeError(f"input has {C} channels, layer expects {cfg.channels}")
-    check_float_dtypes("s3a_forward", x=x, **{n: a for n, a in vars(params).items() if a is not None})
     heads = cfg.heads
 
     xf = x.reshape(C, H * W)
@@ -286,11 +283,11 @@ def s3a_backward(grad_out: np.ndarray, saved: S3ASaved) -> dict[str, np.ndarray]
 
     The saved state is only read, so repeated calls return equal grads.
     """
+    check_float_dtypes("s3a_backward", x=saved.x, grad_out=grad_out)
     cfg, params = saved.cfg, saved.params
     C, H, W = saved.x.shape
     if grad_out.shape != saved.x.shape:
         raise ShapeError(f"grad shape {grad_out.shape} != input shape {saved.x.shape}")
-    check_float_dtypes("s3a_backward", x=saved.x, grad_out=grad_out)
     heads = cfg.heads
     xf = saved.x.reshape(C, H * W)
     g = grad_out.reshape(C, H * W)

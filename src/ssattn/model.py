@@ -42,7 +42,7 @@ from .blocks import (
 from .errors import ConfigError, DTypeError, NumericError, ShapeError, StateError
 from .layer import S3AConfig, s3a_attention_flops, weight_macs
 from .report import ReportNode
-from .tensor import DEFAULT_DTYPE, Rng, ShapeOnly
+from .tensor import DEFAULT_DTYPE, Rng, ShapeOnly, check_float_dtypes
 
 NUM_STAGES = 4
 
@@ -158,11 +158,10 @@ def model_forward(x: np.ndarray, params: ModelParams, cfg: ModelConfig) -> np.nd
     The sides must pass `check_input_sides`. The image must be finite
     and have the parameters' dtype; it is never cast.
     """
+    check_float_dtypes("model_forward", weights=params.head.w, **{"input image": x})
     if x.ndim != 3 or x.shape[0] != cfg.in_channels:
         raise ShapeError(f"expected [{cfg.in_channels}, H, W] input, got shape {x.shape}")
     check_input_sides(x.shape[1], x.shape[2])
-    if x.dtype != params.head.w.dtype:
-        raise DTypeError(f"input image is {x.dtype} but the parameters are {params.head.w.dtype}")
     if not np.isfinite(x).all():
         raise NumericError("input image contains NaN or Inf")
     y = stem_forward(x, params.stem)

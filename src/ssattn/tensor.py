@@ -3,7 +3,9 @@
 Values are plain C-contiguous numpy arrays in float32 (the library
 default) or float64 (used by the oracles and gradient checks). This
 module pins down the dtypes and random initialization; everything
-else in the package builds on these arrays.
+else in the package builds on these arrays, and every numeric entry
+point guards its operands with `check_float_dtypes`, so nothing is
+silently promoted or cast.
 
 Randomness comes from numpy's Philox bit generator, a documented
 counter-based PRNG: a given 64-bit seed yields the same draw sequence
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, SizeError
+from .errors import ConfigError, DTypeError, SizeError
 
 F32 = np.dtype(np.float32)
 F64 = np.dtype(np.float64)
@@ -26,6 +28,25 @@ DTYPES = {"f32": F32, "f64": F64}
 
 # product(shape) * itemsize must stay addressable with signed 64-bit offsets
 _MAX_ELEMENTS = np.iinfo(np.int64).max // 16
+
+
+def check_float_dtypes(where: str, **operands: np.ndarray | None) -> None:
+    """DTypeError unless every operand is an array, the first floating and the rest of its dtype.
+
+    None operands (absent optional tensors) are skipped.
+    """
+    first = None
+    for name, a in operands.items():
+        if a is None:
+            continue
+        if not isinstance(a, np.ndarray):
+            raise DTypeError(f"{where}: {name} is a {type(a).__name__}, not a numpy array")
+        if first is None:
+            first, dtype = name, a.dtype
+            if dtype.kind != "f":
+                raise DTypeError(f"{where}: {first} has non-floating dtype {dtype}")
+        elif a.dtype != dtype:
+            raise DTypeError(f"{where}: {name} is {a.dtype} but {first} is {dtype}")
 
 
 def philox(seed: int, stream: int = 0) -> np.random.Generator:

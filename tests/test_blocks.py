@@ -23,7 +23,7 @@ from ssattn.blocks import (
     ssvit_block,
     stem_forward,
 )
-from ssattn.errors import ConfigError, ShapeError
+from ssattn.errors import ConfigError, DTypeError, ShapeError
 from ssattn.layer import S3AConfig, S3AParams, depthwise_forward
 from ssattn.oracle import oracle_s3a
 from ssattn.tensor import Rng, ShapeOnly
@@ -58,6 +58,11 @@ def test_gelu_monotone_on_grid():
     assert np.all(np.diff(y) > 0)
 
 
+def test_gelu_rejects_integer_input():
+    with pytest.raises(DTypeError, match="^gelu: x has non-floating dtype int64$"):
+        gelu(np.array([2, -1, 3], dtype=np.int64))
+
+
 def test_layernorm_constant_input_returns_shift():
     x = np.full((5, 3, 4), 2.5)
     scale = np.arange(1.0, 6.0)
@@ -80,6 +85,16 @@ def test_layernorm_matches_per_site_reference():
             var = ((col - mu) ** 2).mean()
             want = scale * (col - mu) / math.sqrt(var + 1e-6) + shift
             assert np.abs(out[:, i, j] - want).max() < 1e-10
+
+
+def test_layernorm_rejects_mixed_or_non_float_operands():
+    x = np.zeros((4, 2, 2), dtype=np.float32)
+    with pytest.raises(DTypeError, match="^layernorm: scale is float64 but x is float32$"):
+        layernorm(x, np.ones(4), np.zeros(4))
+    with pytest.raises(DTypeError, match="^layernorm: shift is float64 but x is float32$"):
+        layernorm(x, np.ones(4, dtype=np.float32), np.zeros(4))
+    with pytest.raises(DTypeError, match="^layernorm: x has non-floating dtype int64$"):
+        layernorm(x.astype(np.int64), np.ones(4, dtype=np.int64), np.zeros(4, dtype=np.int64))
 
 
 def test_layernorm_shape_guards():
@@ -170,6 +185,16 @@ def test_conv2d_box_filter_counts_neighbors():
     assert out[0, 2, 2] == 9.0
     assert out[0, 0, 0] == 4.0
     assert out[0, 0, 2] == 6.0
+
+
+def test_conv2d_rejects_mixed_or_non_float_operands():
+    x, w = np.zeros((2, 4, 4), dtype=np.float32), np.zeros((3, 2, 3, 3))
+    with pytest.raises(DTypeError, match="^conv2d: w is float64 but x is float32$"):
+        conv2d(x, w)
+    with pytest.raises(DTypeError, match="^conv2d: b is float64 but x is float32$"):
+        conv2d(x, w.astype(np.float32), b=np.zeros(3))
+    with pytest.raises(DTypeError, match="^conv2d: x has non-floating dtype int64$"):
+        conv2d(x.astype(np.int64), w.astype(np.int64))
 
 
 def test_conv2d_shape_guards():

@@ -1,16 +1,20 @@
 """End-to-end command-line behavior: describe, check, bench, infer."""
+import contextlib
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ssattn.kernel as kernel_mod
 from ssattn.bench import SCOPE_NOTE, bench_model
-from ssattn.checks import run_checks, tiny_config
+from ssattn.checks import CHECKS, run_checks, tiny_config
 from ssattn.cli import main
 from ssattn.errors import ConfigError
-from ssattn.io import save_checkpoint, save_model_checkpoint, save_tensor, load_tensor
+from ssattn.io import save_checkpoint, save_model_checkpoint, save_tensor, load_tensor, tensor_to_bytes
 from ssattn.model import build_model, config_to_dict, model_forward, param_items
 from ssattn.tensor import Rng
 
@@ -352,3 +356,89 @@ def test_infer_missing_file_fails_cleanly(tmp_path, capsys):
     assert rc == 1
     assert "error:" in captured.err
     assert "no_such.ssc" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# any cheap argv
+
+
+_FAST_SUITES = [name for name in CHECKS if name != "gradients"]
+_CONFIG_TEXTS = st.sampled_from([
+    json.dumps({**config_to_dict(tiny_config()), "classes": -1}).encode(), b"[" * 5000, b"\xff\xfe",
+    b"", b"{", b"[]", b"{}", b'{"name": 3}', b'{"blocks": [1, 1, 1, 1], "heads": [0, 1, 1, 1]}',
+])
+_JUNK = st.binary(max_size=48)
+
+
+def _maybe(draw, flag, values):
+    return [flag, draw(st.sampled_from(values))] if draw(st.booleans()) else []
+
+
+@st.composite
+def _cheap_argv(draw):
+    """(argv, files): argv names file f of the test directory as '@f'; files maps names to bytes.
+
+    Only cheap commands: describe, check on the fast suites with 0-3 cases,
+    and infer on missing, junk or small files. bench is left out, since its
+    exit code carries a wall-clock envelope.
+    """
+    files = {}
+    command = draw(st.sampled_from(["describe", "check", "infer"]))
+    if command == "describe":
+        argv = ["describe"]
+        config = draw(st.sampled_from(["@config.json", None, "ssvit-s", "nosuch"]))
+        if config is not None:
+            argv += draw(st.sampled_from([[config], ["--config", config]]))
+        if config == "@config.json":
+            files["config.json"] = draw(_CONFIG_TEXTS)
+        argv += _maybe(draw, "--resolution", ["32", "64", "30", "0", "-8", "x"])
+        argv += _maybe(draw, "--window", ["1", "3", "4", "0", "-3", "x"])
+        argv += _maybe(draw, "--anchors", ["1", "7", "2", "0", "x"])
+        argv += _maybe(draw, "--stride", ["auto", "1", "3", "0", "-2", "x"])
+        argv += ["--no-lce"] if draw(st.booleans()) else []
+    elif command == "check":
+        argv = ["check", "--cases", str(draw(st.integers(0, 3)))]
+        for name in draw(st.lists(st.sampled_from(_FAST_SUITES), min_size=1, max_size=2)):
+            argv += ["--suite", name]
+        argv += _maybe(draw, "--seed", ["0", "5", "-1", "x"])
+        argv += _maybe(draw, "--tol", ["params=0.5", "oracle=nan", "io=-1", "lattice=x", "nosuch=1", "flops"])
+    else:
+        ckpt = draw(st.sampled_from(["@missing.ssc", "@junk.ssc", "@tiny.ssc"]))
+        image = draw(st.sampled_from(["@missing.ssa", "@junk.ssa", "@image.ssa"]))
+        if ckpt == "@junk.ssc":
+            files["junk.ssc"] = draw(_JUNK)
+        if image == "@junk.ssa":
+            files["junk.ssa"] = draw(_JUNK)
+        if image == "@image.ssa":
+            shape = draw(st.sampled_from([(3, 32, 32), (3, 36, 32), (3, 16, 16), (1, 32, 32), (3,), ()]))
+            fill = draw(st.sampled_from([0.0, 1.0, float("nan")]))
+            dtype = draw(st.sampled_from([np.float32, np.float64]))
+            files["image.ssa"] = tensor_to_bytes(np.full(shape, fill, dtype=dtype))
+        out = draw(st.sampled_from(["@out.ssa", "@nodir/out.ssa", "@"]))
+        argv = ["infer", ckpt, image, "--out", out]
+    return argv, files
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("argv")
+    cfg = tiny_config()
+    save_model_checkpoint(str(path / "tiny.ssc"), cfg, build_model(cfg, Rng(6)))
+    return path
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=_cheap_argv())
+def test_any_cheap_argv_exits_0_1_or_2_without_a_traceback(argv_dir, case):
+    argv, files = case
+    for name, data in files.items():
+        (argv_dir / name).write_bytes(data)
+    argv = [str(argv_dir / token[1:]) if token.startswith("@") else token for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

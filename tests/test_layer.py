@@ -226,6 +226,21 @@ def test_depthwise_rejects_mixed_dtypes():
             depthwise_backward(*args)
 
 
+def test_depthwise_rejects_integer_operands():
+    x, filt, bias = np.zeros((3, 4, 5), np.int64), np.zeros((3, 3, 3), np.int64), np.zeros(3, np.int64)
+    with pytest.raises(DTypeError, match="^depthwise_forward: x has non-floating dtype int64$"):
+        depthwise_forward(x, filt, bias)
+    with pytest.raises(DTypeError, match="^depthwise_backward: x has non-floating dtype int64$"):
+        depthwise_backward(x, x, filt)
+
+
+def test_layer_forward_rejects_a_nested_list():
+    cfg = S3AConfig(channels=4, heads=2)
+    x = np.zeros((4, 5, 5)).tolist()
+    with pytest.raises(DTypeError, match="^s3a_forward: x is a list, not a numpy array$"):
+        s3a_forward(x, init_s3a_params(cfg, Rng(0), dtype=np.float64), cfg)
+
+
 @pytest.mark.parametrize("lce", [False, True])
 def test_layer_forward_rejects_mixed_or_non_float_operands(lce):
     cfg = S3AConfig(channels=4, heads=2, lce=lce)

@@ -384,6 +384,13 @@ def test_forward_rejects_non_finite_image():
             model_forward(x, params, cfg)
 
 
+def test_forward_rejects_a_nested_list():
+    cfg = tiny_config()
+    x = np.zeros((3, 32, 32), dtype=np.float32).tolist()
+    with pytest.raises(DTypeError, match="^model_forward: input image is a list, not a numpy array$"):
+        model_forward(x, build_model(cfg, Rng(1)), cfg)
+
+
 def test_forward_rejects_image_of_another_dtype():
     cfg = tiny_config()
     params = build_model(cfg, Rng(1))
