@@ -12,6 +12,15 @@ Normalization is per spatial site over the channel axis. The stem and
 the between-stage downsampling layers are plain convolutions; the stem
 folds its batch-normalization into per-channel scale/shift pairs, so
 inference needs no running statistics.
+
+GELU is x * Phi(x) with the exact normal CDF, never the tanh
+approximation. float64 (and any float dtype but float32) evaluates
+scipy's erf. float32 evaluates a rational erf in float32, in place over
+cache-sized chunks; below x = -1 it switches to an erfc form, so the
+negative tail keeps its relative accuracy instead of cancelling in
+1 + erf. Its written bound, against an exact reference: at most 8 ulp
+of |GELU(x)| for x >= -1, and relative error at most 3e-5 for
+-12 <= x < -1 (below that the result nears float32's underflow).
 """
 from __future__ import annotations
 
@@ -30,7 +39,7 @@ from .layer import (
     init_s3a_params,
     s3a_forward,
 )
-from .tensor import DEFAULT_DTYPE, Rng, check_float_dtypes, randn
+from .tensor import DEFAULT_DTYPE, F32, Rng, check_float_dtypes, randn
 
 LN_EPS = 1e-6
 CPE_KERNEL = 3
@@ -38,11 +47,88 @@ FFN_RATIO = 3
 STEM_STRIDES = (2, 1, 1, 2)  # overall stride 4
 _SQRT2 = float(np.sqrt(2.0))
 
+# float32 GELU: elements per in-place chunk (five float32 buffers of it
+# stay in a 1 MB L2), and the x below which Phi takes the erfc form.
+GELU_CHUNK = 1 << 15
+GELU_TAIL_X = -1.0
+
+# erf(z) = z P(z^2) / Q(z^2) for |z| <= 4, in float32 exactly +-1 beyond:
+# Eigen's generic_fast_erf_float (as used by XLA), highest power first.
+_ERF_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+          -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+          -1.60960333262415e-02)
+_ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+          -7.37332916720468e-03, -1.42647390514189e-02)
+# Rewritten in x = sqrt2 z with GELU's 1/2 folded in, so that
+# GELU(x) = x * (1/2 + x P'(x^2) / Q'(x^2)) with x clamped to +-4 sqrt2.
+_GELU_P = tuple(np.float32(c / (2 * _SQRT2 * 2.0 ** (len(_ERF_P) - 1 - k))) for k, c in enumerate(_ERF_P))
+_GELU_Q = tuple(np.float32(c / 2.0 ** (len(_ERF_Q) - 1 - k)) for k, c in enumerate(_ERF_Q))
+_GELU_CLAMP = np.float32(4 * _SQRT2)
+# erfc(z) = t exp(-z^2 + R(t)), t = 1 / (1 + z/2), z >= 0, with fractional
+# error below 1.2e-7 (Numerical Recipes' erfcc), highest power first.
+_ERFC_R = tuple(np.float32(c) for c in (
+    0.17087277, -0.82215223, 1.48851587, -1.13520398, 0.27886807,
+    -0.18628806, 0.09678418, 0.37409196, 1.00002368, -1.26551223))
+# exp(-z^2) is 0 in float32 for x below this, and x * x stays finite
+_TAIL_FLOOR = np.float32(-20.0)
+
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact Gaussian-error-linear unit: x * Phi(x) via erf."""
+    """Exact Gaussian-error-linear unit x * Phi(x); never the tanh form.
+
+    float32 runs the chunked rational erf (bound in the module
+    docstring); other float dtypes evaluate scipy's erf.
+    """
     check_float_dtypes("gelu", x=x)
+    if x.dtype == F32:
+        return _gelu_f32(x)
     return 0.5 * x * (1.0 + erf(x / x.dtype.type(_SQRT2)))
+
+
+def _horner(coefs: tuple, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = the polynomial with `coefs` (highest power first) at v, in place."""
+    np.multiply(v, coefs[0], out=out)
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= v
+        out += c
+    return out
+
+
+def _gelu_f32(x: np.ndarray) -> np.ndarray:
+    """GELU of a float32 array, GELU_CHUNK elements at a time, erfc form below GELU_TAIL_X."""
+    out = np.empty(x.shape, F32)
+    src, dst = x.reshape(-1), out.reshape(-1)  # reshape copies a non-contiguous x
+    scratch = np.empty((3, min(src.size, GELU_CHUNK)), F32)
+    for lo in range(0, src.size, GELU_CHUNK):
+        xs, p = src[lo:lo + GELU_CHUNK], dst[lo:lo + GELU_CHUNK]
+        xc, x2, q = scratch[:, :xs.size]
+        np.clip(xs, -_GELU_CLAMP, _GELU_CLAMP, out=xc)
+        np.multiply(xc, xc, out=x2)
+        _horner(_GELU_P, x2, p)
+        p *= xc
+        p /= _horner(_GELU_Q, x2, q)
+        p += np.float32(0.5)
+        p *= xs
+        tail = np.flatnonzero(xs < GELU_TAIL_X)
+        if tail.size:
+            xt = xs[tail]
+            p[tail] = xt * _phi_tail(xt)
+    return out
+
+
+def _phi_tail(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = erfc(z) / 2 with z = -x / sqrt2, for float32 x < 0."""
+    x = np.maximum(x, _TAIL_FLOOR)
+    t = x * np.float32(-0.5 / _SQRT2)
+    t += np.float32(1.0)
+    np.reciprocal(t, out=t)
+    r = _horner(_ERFC_R, t, np.empty_like(t))
+    r -= np.float32(0.5) * (x * x)  # z^2 from x: one rounding, not two
+    np.exp(r, out=r)
+    r *= t
+    r *= np.float32(0.5)
+    return r
 
 
 def layernorm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -214,6 +300,7 @@ def cpe_forward(x: np.ndarray, p: CpeParams) -> np.ndarray:
 
 
 def ffn_forward(x: np.ndarray, p: FfnParams) -> np.ndarray:
+    check_float_dtypes("ffn_forward", x=x, **vars(p))
     C, H, W = x.shape
     h = gelu(p.w1 @ x.reshape(C, H * W) + p.b1[:, None])
     return (p.w2 @ h + p.b2[:, None]).reshape(-1, H, W)
@@ -229,6 +316,9 @@ def ssvit_block(x: np.ndarray, p: BlockParams, cfg: S3AConfig) -> np.ndarray:
 
 def stem_forward(x: np.ndarray, p: StemParams) -> np.ndarray:
     """Four 3x3 convolutions (STEM_STRIDES), scale/shift + GELU after each."""
+    check_float_dtypes("stem_forward", x=x, **{
+        f"convs[{i}].{name}": getattr(conv, name)
+        for i, conv in enumerate(p.convs) for name in ("bn_scale", "bn_shift")})
     for conv, s in zip(p.convs, STEM_STRIDES):
         x = conv2d(x, conv.w, b=None, stride=s, padding=1)
         x = x * conv.bn_scale[:, None, None] + conv.bn_shift[:, None, None]

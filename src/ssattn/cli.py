@@ -233,7 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--suite", action="append", choices=sorted(CHECKS), default=None,
                          help="suite to run (repeatable; default: all)")
     p_check.add_argument("--cases", type=int, default=None,
-                         help="override per-suite case counts (smaller = faster)")
+                         help="work per suite, not the same unit in each: oracle, gradients and "
+                              "lattice run N cases and io N tensors; normalization and equivariance "
+                              "check at least N rows or queries; degeneracy runs N//2 (min 1) per "
+                              "family; params, flops and identity ignore it")
     p_check.add_argument("--tol", action="append", type=_tol_arg, default=None,
                          metavar="CHECK=VALUE", help="override a suite tolerance")
     p_check.add_argument("--out", default=None)

@@ -158,7 +158,8 @@ def model_forward(x: np.ndarray, params: ModelParams, cfg: ModelConfig) -> np.nd
     The sides must pass `check_input_sides`. The image must be finite
     and have the parameters' dtype; it is never cast.
     """
-    check_float_dtypes("model_forward", weights=params.head.w, **{"input image": x})
+    check_float_dtypes("model_forward", weights=params.head.w,
+                       **{"input image": x, "head bias": params.head.b})
     if x.ndim != 3 or x.shape[0] != cfg.in_channels:
         raise ShapeError(f"expected [{cfg.in_channels}, H, W] input, got shape {x.shape}")
     check_input_sides(x.shape[1], x.shape[2])

@@ -93,7 +93,10 @@ class ShapeOnly:
         return self.full(shape, 0.0, dtype)
 
     def full(self, shape, value: float, dtype=DEFAULT_DTYPE) -> np.ndarray:
-        return np.broadcast_to(np.dtype(dtype).type(value), shape)
+        # a view over immutable bytes is read-only, and cannot be made writeable
+        shape = tuple(shape) if np.iterable(shape) else (shape,)
+        scalar = np.array(value, dtype).tobytes()
+        return np.ndarray(shape, dtype, scalar, strides=(0,) * len(shape))
 
 
 def _checked_shape(shape) -> tuple[int, ...]:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from ssattn.blocks import (
+    GELU_CHUNK,
+    GELU_TAIL_X,
     BlockParams,
     CpeParams,
     FfnParams,
@@ -43,6 +45,7 @@ def test_gelu_fixed_points():
     assert got[0] == 0.0
     assert abs(got[1] - 0.8413447460685429) < 1e-12
     assert abs(got[2] - (-0.15865525393145707)) < 1e-12
+    assert np.all(gelu(np.zeros(5, dtype=np.float32)) == 0.0)
 
 
 def test_gelu_matches_scalar_erf_formula():
@@ -54,8 +57,55 @@ def test_gelu_matches_scalar_erf_formula():
 
 def test_gelu_monotone_on_grid():
     x = np.linspace(-0.4, 6.0, 200)
-    y = gelu(x)
-    assert np.all(np.diff(y) > 0)
+    for grid in (x, x.astype(np.float32)):
+        assert np.all(np.diff(gelu(grid)) > 0)
+
+
+def assert_gelu_f32_bound(x, got):
+    """The blocks docstring's float32 bound against math.erfc in float64.
+
+    At most 8 ulp of |GELU(x)| for x >= -1, relative error at most 3e-5 below.
+    """
+    assert got.shape == x.shape and got.dtype == np.float32
+    xd = x.astype(np.float64).ravel()
+    want = np.array([0.5 * t * math.erfc(-t / math.sqrt(2.0)) for t in xd.tolist()])
+    err = np.abs(got.astype(np.float64).ravel() - want)
+    head = xd >= GELU_TAIL_X
+    ulp = np.spacing(np.abs(want[head]).astype(np.float32)).astype(np.float64)
+    assert np.all(err[head] <= 8.0 * ulp)
+    assert np.all(err[~head] <= 3e-5 * np.abs(want[~head]))
+
+
+def test_gelu_f32_meets_its_written_bound_on_a_dense_grid():
+    # 240k float32 points, step 1e-4, over [-12, 12]
+    x = np.unique(np.linspace(-12.0, 12.0, 240_001).astype(np.float32))
+    assert_gelu_f32_bound(x, gelu(x))
+
+
+def test_gelu_f32_and_f64_agree_on_nan_and_infinities():
+    x = np.array([np.nan, np.inf, -np.inf])
+    with np.errstate(invalid="ignore"):  # -inf * Phi(-inf) is inf * 0 on both paths
+        got32, got64 = gelu(x.astype(np.float32)), gelu(x)
+    np.testing.assert_array_equal(got32, got64.astype(np.float32))
+    assert np.isnan(got32[0]) and got32[1] == np.inf and np.isnan(got32[2])
+
+
+@pytest.mark.parametrize("n", [0, 1, GELU_CHUNK - 1, GELU_CHUNK, GELU_CHUNK + 1])
+def test_gelu_f32_sizes_around_one_chunk(n):
+    x = (3.0 * gen(91).normal(size=n)).astype(np.float32)  # ~37% take the tail form
+    assert_gelu_f32_bound(x, gelu(x))
+
+
+def test_gelu_f32_non_contiguous_and_zero_d_inputs():
+    base = (3.0 * gen(92).normal(size=(6, 40, 90))).astype(np.float32)
+    x = base.transpose(2, 0, 1)[::2, :, 1::3]
+    assert not x.flags.c_contiguous
+    got = gelu(x)
+    assert_gelu_f32_bound(x, got)
+    assert np.array_equal(got, gelu(np.ascontiguousarray(x)))
+
+    x = np.array(-1.5, dtype=np.float32)
+    assert_gelu_f32_bound(x, gelu(x))
 
 
 def test_gelu_rejects_integer_input():
@@ -304,6 +354,24 @@ def test_downsample_halves_and_normalizes():
     assert out.shape == (16, 3, 5)
     # fresh init has unit scales and zero shifts: per-site stats are normalized
     assert np.abs(out.mean(axis=0)).max() < 1e-4
+
+
+@pytest.mark.parametrize("field", ["w1", "b1", "w2", "b2"])
+def test_ffn_rejects_a_parameter_of_another_dtype(field):
+    p = init_ffn_params(4, Rng(3))
+    setattr(p, field, getattr(p, field).astype(np.float64))
+    x = np.zeros((4, 2, 3), dtype=np.float32)
+    with pytest.raises(DTypeError, match=f"^ffn_forward: {field} is float64 but x is float32$"):
+        ffn_forward(x, p)
+
+
+@pytest.mark.parametrize("field", ["bn_scale", "bn_shift"])
+def test_stem_rejects_a_batchnorm_tensor_of_another_dtype(field):
+    p = init_stem_params(8, Rng(4))
+    setattr(p.convs[2], field, getattr(p.convs[2], field).astype(np.float64))
+    x = np.zeros((3, 32, 32), dtype=np.float32)
+    with pytest.raises(DTypeError, match=rf"^stem_forward: convs\[2\]\.{field} is float64 but x is float32$"):
+        stem_forward(x, p)
 
 
 def test_head_and_ffn_param_counts():

@@ -404,6 +404,14 @@ def test_forward_rejects_image_of_another_dtype():
     assert logits.dtype == np.float64
 
 
+def test_forward_rejects_a_head_bias_of_another_dtype():
+    cfg = tiny_config()
+    params = build_model(cfg, Rng(1))
+    params.head.b = params.head.b.astype(np.float64)
+    with pytest.raises(DTypeError, match="^model_forward: head bias is float64 but weights is float32$"):
+        model_forward(np.zeros((3, 32, 32), dtype=np.float32), params, cfg)
+
+
 def test_forward_is_deterministic():
     cfg = tiny_config()
     params = build_model(cfg, Rng(1))

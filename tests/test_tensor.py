@@ -7,7 +7,7 @@ from ssattn.bench import bench_scaling
 from ssattn.checks import run_checks, tiny_config
 from ssattn.errors import ConfigError, SizeError
 from ssattn.model import build_model
-from ssattn.tensor import DEFAULT_DTYPE, DTYPES, F32, F64
+from ssattn.tensor import DEFAULT_DTYPE, DTYPES, F32, F64, ShapeOnly
 
 
 def test_dtype_registry():
@@ -34,6 +34,21 @@ def test_negative_seed_is_config_error_through_the_python_api():
         run_checks(["identity"], seed=-7)
     with pytest.raises(ConfigError):
         bench_scaling(seed=-1)  # its streams are seed + 30 and seed + 31
+
+
+@pytest.mark.parametrize("shape", [5, np.int64(5), (2, 3), (4, 0, 2), ()])
+def test_shape_only_gives_read_only_zero_stride_views(shape):
+    for dtype in (F32, F64):
+        a = ShapeOnly().full(shape, 2.5, dtype)
+        z = ShapeOnly().normal(shape, std=3.0, dtype=dtype)
+        want = np.full(shape, 2.5, dtype)
+        assert a.shape == z.shape == want.shape and a.dtype == z.dtype == dtype
+        assert set(a.strides) <= {0} and set(z.strides) <= {0}
+        assert np.array_equal(a, want) and not z.any()
+        for view in (a, z):
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view.flags.writeable = True
 
 
 def test_rng_deterministic_per_seed():
