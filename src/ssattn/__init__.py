@@ -88,6 +88,6 @@ from .oracle import (
     oracle_s3a,
 )
 from .report import ReportNode
-from .tensor import DTYPES, Rng, randn
+from .tensor import DTYPES, Rng
 
 __version__ = "0.1.0"

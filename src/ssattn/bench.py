@@ -67,7 +67,7 @@ def bench_model(cfg: ModelConfig, H: int, W: int, repeats: int, seed: int, dtype
     """Whole-model forward timing at one input geometry."""
     if repeats < 3:
         raise ConfigError(f"repeats must be >= 3, got {repeats}")
-    params = build_model(cfg, Rng(seed), dtype=dtype)
+    params = build_model(cfg, Rng(seed, dtype))
     g = philox(seed, 1)
     x = g.normal(size=(cfg.in_channels, H, W)).astype(dtype)
     (samples,) = _time_rounds([lambda: model_forward(x, params, cfg)], repeats)
@@ -88,7 +88,7 @@ def bench_scaling(repeats: int = 5, seed: int = 0, dtype=np.float32) -> dict:
         raise ConfigError(f"repeats must be >= 3, got {repeats}")
     cfg = S3AConfig(channels=SCALING_CHANNELS, heads=SCALING_HEADS,
                     window=3, anchors=7, stride="auto")
-    params = init_s3a_params(cfg, Rng(seed + 30), dtype=dtype)
+    params = init_s3a_params(cfg, Rng(seed + 30, dtype))
     g = philox(seed, 31)
     inputs = [g.normal(size=(cfg.channels, side, side)).astype(dtype) for side in SCALING_SIDES]
     timings = _time_rounds([lambda x=x: s3a_forward(x, params, cfg) for x in inputs], repeats)

@@ -14,13 +14,13 @@ folds its batch-normalization into per-channel scale/shift pairs, so
 inference needs no running statistics.
 
 GELU is x * Phi(x) with the exact normal CDF, never the tanh
-approximation. float64 (and any float dtype but float32) evaluates
-scipy's erf. float32 evaluates a rational erf in float32, in place over
-cache-sized chunks; below x = -1 it switches to an erfc form, so the
-negative tail keeps its relative accuracy instead of cancelling in
-1 + erf. Its written bound, against an exact reference: at most 8 ulp
-of |GELU(x)| for x >= -1, and relative error at most 3e-5 for
--12 <= x < -1 (below that the result nears float32's underflow).
+approximation. float64 evaluates scipy's erf. float32 evaluates a
+rational erf in float32, in place over cache-sized chunks; below x = -1
+it switches to an erfc form, so the negative tail keeps its relative
+accuracy instead of cancelling in 1 + erf. Its written bound, against
+an exact reference: at most 8 ulp of |GELU(x)| for x >= -1, and
+relative error at most 3e-5 for -12 <= x < -1 (below that the result
+nears float32's underflow).
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from .layer import (
     init_s3a_params,
     s3a_forward,
 )
-from .tensor import DEFAULT_DTYPE, F32, Rng, check_float_dtypes, randn
+from .tensor import F32, Rng, check_float_dtypes
 
 LN_EPS = 1e-6
 CPE_KERNEL = 3
@@ -77,7 +77,7 @@ def gelu(x: np.ndarray) -> np.ndarray:
     """Exact Gaussian-error-linear unit x * Phi(x); never the tanh form.
 
     float32 runs the chunked rational erf (bound in the module
-    docstring); other float dtypes evaluate scipy's erf.
+    docstring); float64 evaluates scipy's erf.
     """
     check_float_dtypes("gelu", x=x)
     if x.dtype == F32:
@@ -153,6 +153,9 @@ def conv2d(
     check_float_dtypes("conv2d", x=x, w=w, b=b)
     if x.ndim != 3 or w.ndim != 4 or w.shape[1] != x.shape[0]:
         raise ShapeError(f"conv2d expects x [Cin,H,W] and w [Cout,Cin,kh,kw], got {x.shape}, {w.shape}")
+    ints = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (stride, padding))
+    if not (ints and stride >= 1 and padding >= 0):
+        raise ShapeError(f"conv2d needs an int stride >= 1 and padding >= 0, got {stride!r}, {padding!r}")
     kh, kw = w.shape[2:]
     taps = _tap_window(x, kh, kw, (padding, padding), stride)  # [Cin, oh, ow, kh, kw]
     out = np.tensordot(w, taps, axes=([1, 2, 3], [0, 3, 4]))
@@ -226,67 +229,67 @@ class HeadParams:
 # initializers
 
 
-def init_ln_params(channels: int, rng: Rng, dtype=DEFAULT_DTYPE) -> LnParams:
-    return LnParams(scale=rng.full(channels, 1.0, dtype), shift=rng.full(channels, 0.0, dtype))
+def init_ln_params(channels: int, rng: Rng) -> LnParams:
+    return LnParams(scale=rng.full(channels, 1.0), shift=rng.full(channels, 0.0))
 
 
-def init_cpe_params(channels: int, rng: Rng, dtype=DEFAULT_DTYPE) -> CpeParams:
+def init_cpe_params(channels: int, rng: Rng) -> CpeParams:
     return CpeParams(
-        filt=randn((channels, CPE_KERNEL, CPE_KERNEL), rng, std=INIT_STD, dtype=dtype),
-        bias=rng.full(channels, 0.0, dtype),
+        filt=rng.normal((channels, CPE_KERNEL, CPE_KERNEL), std=INIT_STD),
+        bias=rng.full(channels, 0.0),
     )
 
 
-def init_ffn_params(channels: int, rng: Rng, ratio: int = FFN_RATIO, dtype=DEFAULT_DTYPE) -> FfnParams:
+def init_ffn_params(channels: int, rng: Rng, ratio: int = FFN_RATIO) -> FfnParams:
     hidden = ratio * channels
     return FfnParams(
-        w1=randn((hidden, channels), rng, std=INIT_STD, dtype=dtype),
-        b1=rng.full(hidden, 0.0, dtype),
-        w2=randn((channels, hidden), rng, std=INIT_STD, dtype=dtype),
-        b2=rng.full(channels, 0.0, dtype),
+        w1=rng.normal((hidden, channels), std=INIT_STD),
+        b1=rng.full(hidden, 0.0),
+        w2=rng.normal((channels, hidden), std=INIT_STD),
+        b2=rng.full(channels, 0.0),
     )
 
 
-def init_block_params(cfg: S3AConfig, rng: Rng, ratio: int = FFN_RATIO, dtype=DEFAULT_DTYPE) -> BlockParams:
+def init_block_params(cfg: S3AConfig, rng: Rng, ratio: int = FFN_RATIO) -> BlockParams:
     C = cfg.channels
     return BlockParams(
-        cpe=init_cpe_params(C, rng, dtype=dtype),
-        ln1=init_ln_params(C, rng, dtype=dtype),
-        s3a=init_s3a_params(cfg, rng, dtype=dtype),
-        ln2=init_ln_params(C, rng, dtype=dtype),
-        ffn=init_ffn_params(C, rng, ratio=ratio, dtype=dtype),
+        cpe=init_cpe_params(C, rng),
+        ln1=init_ln_params(C, rng),
+        s3a=init_s3a_params(cfg, rng),
+        ln2=init_ln_params(C, rng),
+        ffn=init_ffn_params(C, rng, ratio=ratio),
     )
 
 
-def init_stem_params(out_channels: int, rng: Rng, in_channels: int = 3, dtype=DEFAULT_DTYPE) -> StemParams:
+def init_stem_params(out_channels: int, rng: Rng, in_channels: int = 3) -> StemParams:
     if out_channels % 2:
         raise ConfigError(f"stem output channels must be even, got {out_channels}")
     mid = out_channels // 2
     widths = [(in_channels, mid), (mid, mid), (mid, mid), (mid, out_channels)]
     convs = [
         ConvBnParams(
-            w=randn((co, ci, 3, 3), rng, std=INIT_STD, dtype=dtype),
-            bn_scale=rng.full(co, 1.0, dtype),
-            bn_shift=rng.full(co, 0.0, dtype),
+            w=rng.normal((co, ci, 3, 3), std=INIT_STD),
+            bn_scale=rng.full(co, 1.0),
+            bn_shift=rng.full(co, 0.0),
         )
         for ci, co in widths
     ]
     return StemParams(convs=convs)
 
 
-def init_downsample_params(cin: int, cout: int, rng: Rng, dtype=DEFAULT_DTYPE) -> DownsampleParams:
+def init_downsample_params(cin: int, cout: int, rng: Rng) -> DownsampleParams:
     return DownsampleParams(
-        w=randn((cout, cin, 3, 3), rng, std=INIT_STD, dtype=dtype),
-        b=rng.full(cout, 0.0, dtype),
-        ln=init_ln_params(cout, rng, dtype=dtype),
+        w=rng.normal((cout, cin, 3, 3), std=INIT_STD),
+        b=rng.full(cout, 0.0),
+        ln=init_ln_params(cout, rng),
     )
 
 
-def init_head_params(channels: int, classes: int, rng: Rng, dtype=DEFAULT_DTYPE) -> HeadParams:
+def init_head_params(channels: int, classes: int, rng: Rng) -> HeadParams:
     return HeadParams(
-        ln=init_ln_params(channels, rng, dtype=dtype),
-        w=randn((classes, channels), rng, std=INIT_STD, dtype=dtype),
-        b=rng.full(classes, 0.0, dtype),
+        ln=init_ln_params(channels, rng),
+        w=rng.normal((classes, channels), std=INIT_STD),
+        b=rng.full(classes, 0.0),
     )
 
 

@@ -130,7 +130,7 @@ def _map_layer(params: S3AParams, fn) -> S3AParams:
 
 def _random_layer(cfg: S3AConfig, g: np.random.Generator, dtype, spread: float = 0.35) -> S3AParams:
     """Layer parameters with random weights AND biases, for stress tests."""
-    template = init_s3a_params(cfg, ShapeOnly(), dtype)
+    template = init_s3a_params(cfg, ShapeOnly(dtype))
     return _map_layer(template, lambda a: g.normal(0.0, spread, size=a.shape).astype(dtype))
 
 
@@ -479,7 +479,7 @@ def check_equivariance(seed, cases, tol):
 
 
 def _zero_block(cfg: S3AConfig) -> BlockParams:
-    params = init_block_params(cfg, Rng(0), dtype=np.float64)
+    params = init_block_params(cfg, Rng(0, np.float64))
     for _, arr in tensor_items("", params):
         arr[...] = 0.0
     return params
@@ -550,7 +550,7 @@ def check_io(seed, cases, tol):
             tiny_config(),
             tiny_config(name="tiny-alt", window=1, anchors=3, stride=2, lce=False, classes=3),
         ]):
-            params = build_model(cfg, Rng(seed + 20 + j), dtype=np.float64 if j else np.float32)
+            params = build_model(cfg, Rng(seed + 20 + j, np.float64 if j else np.float32))
             cpath = os.path.join(tmp, f"m{j}.ssc")
             save_model_checkpoint(cpath, cfg, params)
             cfg2, params2 = load_model_checkpoint(cpath)

@@ -221,7 +221,7 @@ def load_model_checkpoint(path: str) -> tuple[ModelConfig, ModelParams]:
     dtype = DTYPES.get(tag) if isinstance(tag, str) else None
     if dtype is None:
         raise ManifestError(f"checkpoint meta dtype malformed: {tag!r}")
-    params = build_model(cfg, ShapeOnly(), dtype=dtype)
+    params = build_model(cfg, ShapeOnly(dtype))
     try:
         load_state(params, tensors)
     except StateError as exc:

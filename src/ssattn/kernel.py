@@ -48,20 +48,34 @@ from .errors import ConfigError, EmptyDomainError, NumericError, ShapeError
 from .tensor import check_float_dtypes
 
 
+def _positive_int(v, name: str, odd: bool = False) -> int:
+    """v as an int if it is an integer >= 1 (odd, if asked) and not a bool; else ConfigError."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1 or (odd and v % 2 == 0):
+        raise ConfigError(f"{name}: {v!r} is not {'an odd' if odd else 'an'} int >= 1")
+    return int(v)
+
+
+def _pair(value, name: str, odd: bool = False) -> tuple[int, int]:
+    """Normalize an int or 2-sequence into a validated (h, w) pair."""
+    if isinstance(value, (int, np.integer)):
+        value = (value, value)
+    try:
+        a, b = value
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be an int or a pair, got {value!r}") from None
+    return (_positive_int(a, name, odd), _positive_int(b, name, odd))
+
+
 @dataclass(frozen=True)
 class NeighborhoodSpec:
-    """Kernel extent and dilation per axis (height, width)."""
+    """Kernel extent (odd) and dilation per axis (height, width); an int means both axes."""
 
     kernel: tuple[int, int]
     dilation: tuple[int, int] = (1, 1)
 
     def __post_init__(self):
-        kh, kw = self.kernel
-        dh, dw = self.dilation
-        if kh < 1 or kw < 1 or kh % 2 == 0 or kw % 2 == 0:
-            raise ConfigError(f"kernel extents must be positive odd, got {self.kernel}")
-        if dh < 1 or dw < 1:
-            raise ConfigError(f"dilation steps must be >= 1, got {self.dilation}")
+        object.__setattr__(self, "kernel", _pair(self.kernel, "kernel", odd=True))
+        object.__setattr__(self, "dilation", _pair(self.dilation, "dilation"))
 
 
 def effective_kernel(k: int, side: int, d: int) -> int:
@@ -80,13 +94,17 @@ def clamped_lattice(center: int | np.ndarray, side: int, k: int, d: int = 1) -> 
     The lattice is centered on `center` whenever the span fits there;
     near borders the whole lattice shifts (step preserved) so that all
     members stay in bounds. An int center gives [k_eff] indices, an
-    array of centers gives one lattice per center, [..., k_eff].
+    array of centers gives one lattice per center, [..., k_eff]. Centers
+    must be integers, k an odd int and d an int, both >= 1.
     """
     if side < 1:
         raise EmptyDomainError(f"axis of extent {side} has no lattice")
-    if k < 1 or k % 2 == 0 or d < 1:
-        raise ConfigError(f"need odd k >= 1 and d >= 1, got k={k} d={d}")
-    c = np.asarray(center, dtype=np.int64)
+    _positive_int(k, "k", odd=True)
+    _positive_int(d, "d")
+    c = np.asarray(center)
+    if c.dtype.kind not in "iu":
+        raise ConfigError(f"lattice centers must be integers, got {center!r}")
+    c = c.astype(np.int64, copy=False)
     if np.any((c < 0) | (c >= side)):
         raise ShapeError(f"center {center} outside axis of extent {side}")
     k_eff = effective_kernel(k, side, d)
@@ -224,6 +242,7 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
     A row holding NaN or +Inf, or only -Inf, has a non-finite sum and
     raises NumericError.
     """
+    check_float_dtypes("softmax_rows", scores=scores)
     with np.errstate(invalid="ignore"):  # inf - inf: caught by the row sums
         shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -266,6 +285,7 @@ def kernel_forward(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, spec: NeighborhoodSpec
 ) -> tuple[np.ndarray, KernelSaved]:
     """scores (plain q . k) -> softmax -> aggregate, returning output and saved state."""
+    check_float_dtypes("kernel_forward", q=q, k=k, v=v)
     attn = softmax_rows(neighborhood_scores(q, k, spec))
     out = neighborhood_aggregate(attn, v, spec)
     return out, KernelSaved(q=q, k=k, v=v, attn=attn, spec=spec)

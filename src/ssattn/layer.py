@@ -29,30 +29,15 @@ from .errors import ConfigError, ShapeError
 from .kernel import (
     KernelSaved,
     NeighborhoodSpec,
+    _pair,
     kernel_backward,
     kernel_flops,
     kernel_forward,
 )
-from .tensor import DEFAULT_DTYPE, Rng, ShapeOnly, check_float_dtypes, randn
+from .tensor import Rng, ShapeOnly, check_float_dtypes
 
 LCE_KERNEL = 5
 INIT_STD = 0.02
-
-
-def _pair(value, name: str, odd: bool = False) -> tuple[int, int]:
-    """Normalize an int or 2-sequence into a validated (h, w) pair."""
-    if isinstance(value, int):
-        value = (value, value)
-    try:
-        a, b = value
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be an int or a pair, got {value!r}") from None
-    for v in (a, b):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise ConfigError(f"{name} entries must be ints >= 1, got {value!r}")
-        if odd and v % 2 == 0:
-            raise ConfigError(f"{name} entries must be odd, got {value!r}")
-    return (a, b)
 
 
 @dataclass(frozen=True)
@@ -109,18 +94,18 @@ class S3AParams:
     lce_bias: np.ndarray | None = None  # [C]
 
 
-def init_s3a_params(cfg: S3AConfig, rng: Rng, dtype=DEFAULT_DTYPE) -> S3AParams:
+def init_s3a_params(cfg: S3AConfig, rng: Rng) -> S3AParams:
     """Weights ~ normal(0, 0.02), biases zero."""
     C = cfg.channels
     params = S3AParams(
-        w_qkv=randn((3 * C, C), rng, std=INIT_STD, dtype=dtype),
-        b_qkv=rng.full(3 * C, 0.0, dtype),
-        w_out=randn((C, C), rng, std=INIT_STD, dtype=dtype),
-        b_out=rng.full(C, 0.0, dtype),
+        w_qkv=rng.normal((3 * C, C), std=INIT_STD),
+        b_qkv=rng.full(3 * C, 0.0),
+        w_out=rng.normal((C, C), std=INIT_STD),
+        b_out=rng.full(C, 0.0),
     )
     if cfg.lce:
-        params.lce_filt = randn((C, LCE_KERNEL, LCE_KERNEL), rng, std=INIT_STD, dtype=dtype)
-        params.lce_bias = rng.full(C, 0.0, dtype)
+        params.lce_filt = rng.normal((C, LCE_KERNEL, LCE_KERNEL), std=INIT_STD)
+        params.lce_bias = rng.full(C, 0.0)
     return params
 
 

@@ -42,7 +42,7 @@ from .blocks import (
 from .errors import ConfigError, DTypeError, NumericError, ShapeError, StateError
 from .layer import S3AConfig, s3a_attention_flops, weight_macs
 from .report import ReportNode
-from .tensor import DEFAULT_DTYPE, Rng, ShapeOnly, check_float_dtypes
+from .tensor import Rng, ShapeOnly, check_float_dtypes
 
 NUM_STAGES = 4
 
@@ -127,18 +127,18 @@ class ModelParams:
     head: HeadParams
 
 
-def build_model(cfg: ModelConfig, rng: Rng | ShapeOnly, dtype=DEFAULT_DTYPE) -> ModelParams:
-    """Initialize every tensor of the backbone; with ShapeOnly, only their shapes."""
-    stem = init_stem_params(cfg.channels[0], rng, in_channels=cfg.in_channels, dtype=dtype)
+def build_model(cfg: ModelConfig, rng: Rng | ShapeOnly) -> ModelParams:
+    """Initialize every tensor of the backbone in rng's dtype; with ShapeOnly, only their shapes."""
+    stem = init_stem_params(cfg.channels[0], rng, in_channels=cfg.in_channels)
     stages = [
-        [init_block_params(cfg.stage_s3a(i), rng, ratio=cfg.ffn_ratio, dtype=dtype) for _ in range(cfg.blocks[i])]
+        [init_block_params(cfg.stage_s3a(i), rng, ratio=cfg.ffn_ratio) for _ in range(cfg.blocks[i])]
         for i in range(NUM_STAGES)
     ]
     downsamples = [
-        init_downsample_params(cfg.channels[i], cfg.channels[i + 1], rng, dtype=dtype)
+        init_downsample_params(cfg.channels[i], cfg.channels[i + 1], rng)
         for i in range(NUM_STAGES - 1)
     ]
-    head = init_head_params(cfg.channels[-1], cfg.classes, rng, dtype=dtype)
+    head = init_head_params(cfg.channels[-1], cfg.classes, rng)
     return ModelParams(stem=stem, stages=stages, downsamples=downsamples, head=head)
 
 

@@ -10,7 +10,9 @@ silently promoted or cast.
 Randomness comes from numpy's Philox bit generator, a documented
 counter-based PRNG: a given 64-bit seed yields the same draw sequence
 on every platform. `ShapeOnly` stands in for `Rng` where only the
-shapes of a parameter tree matter.
+shapes of a parameter tree matter. Each source carries the one dtype,
+float32 or float64, that every tensor it makes has, so a parameter
+tree's dtype is decided once, where its source is made.
 """
 from __future__ import annotations
 
@@ -31,7 +33,8 @@ _MAX_ELEMENTS = np.iinfo(np.int64).max // 16
 
 
 def check_float_dtypes(where: str, **operands: np.ndarray | None) -> None:
-    """DTypeError unless every operand is an array, the first floating and the rest of its dtype.
+    """DTypeError unless every operand is an array, the first float32 or
+    float64 and the rest of its dtype.
 
     None operands (absent optional tensors) are skipped.
     """
@@ -43,8 +46,9 @@ def check_float_dtypes(where: str, **operands: np.ndarray | None) -> None:
             raise DTypeError(f"{where}: {name} is a {type(a).__name__}, not a numpy array")
         if first is None:
             first, dtype = name, a.dtype
-            if dtype.kind != "f":
-                raise DTypeError(f"{where}: {first} has non-floating dtype {dtype}")
+            if dtype not in DTYPES.values():
+                kind = "unsupported float" if dtype.kind == "f" else "non-floating"
+                raise DTypeError(f"{where}: {first} has {kind} dtype {dtype}")
         elif a.dtype != dtype:
             raise DTypeError(f"{where}: {name} is {a.dtype} but {first} is {dtype}")
 
@@ -61,46 +65,16 @@ def philox(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed + stream))
 
 
-class Rng:
-    """Seedable random source backed by the Philox counter-based generator."""
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._gen = philox(self.seed)
-
-    def normal(self, shape, std: float = 1.0, dtype=DEFAULT_DTYPE) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        out = self._gen.standard_normal(tuple(shape), dtype=dtype)
-        if std != 1.0:
-            out *= dtype.type(std)
-        return out
-
-    def full(self, shape, value: float, dtype=DEFAULT_DTYPE) -> np.ndarray:
-        """A constant tensor; draws nothing, so the generator's stream is unchanged."""
-        return np.full(shape, value, dtype=dtype)
-
-
-class ShapeOnly:
-    """Stand-in for Rng that draws and allocates nothing.
-
-    `normal` and `full` return read-only zero-stride views of one scalar
-    (zero for `normal`), so a parameter tree built from it has the real
-    shapes and dtypes but takes no memory, whatever its widths: enough
-    to count parameters, or to name the slots a checkpoint fills.
-    """
-
-    def normal(self, shape, std: float = 1.0, dtype=DEFAULT_DTYPE) -> np.ndarray:
-        return self.full(shape, 0.0, dtype)
-
-    def full(self, shape, value: float, dtype=DEFAULT_DTYPE) -> np.ndarray:
-        # a view over immutable bytes is read-only, and cannot be made writeable
-        shape = tuple(shape) if np.iterable(shape) else (shape,)
-        scalar = np.array(value, dtype).tobytes()
-        return np.ndarray(shape, dtype, scalar, strides=(0,) * len(shape))
+def _source_dtype(dtype) -> np.dtype:
+    """The float32 or float64 dtype that `dtype` names; DTypeError for any other, None included."""
+    if dtype is None or dtype not in DTYPES.values():
+        raise DTypeError(f"parameter dtype must be float32 or float64, got {dtype!r}")
+    return np.dtype(dtype)
 
 
 def _checked_shape(shape) -> tuple[int, ...]:
-    dims = tuple(int(s) for s in shape)
+    """shape (an int or a sequence of ints) as a tuple; SizeError if negative or too large."""
+    dims = tuple(int(s) for s in shape) if np.iterable(shape) else (int(shape),)
     if any(s < 0 for s in dims):
         raise SizeError(f"negative extent in shape {dims}")
     if math.prod(dims) > _MAX_ELEMENTS:
@@ -108,7 +82,43 @@ def _checked_shape(shape) -> tuple[int, ...]:
     return dims
 
 
-def randn(shape, rng: Rng, std: float = 1.0, dtype=DEFAULT_DTYPE) -> np.ndarray:
-    """I.i.d. normal(0, std^2) samples; reproducible for a given seed."""
-    dims = _checked_shape(shape)
-    return rng.normal(dims, std=std, dtype=dtype)
+class Rng:
+    """Seedable Philox-backed random source; every tensor it makes has its `dtype`."""
+
+    def __init__(self, seed: int, dtype=DEFAULT_DTYPE):
+        self.seed = int(seed)
+        self.dtype = _source_dtype(dtype)
+        self._gen = philox(self.seed)
+
+    def normal(self, shape, std: float = 1.0) -> np.ndarray:
+        """I.i.d. normal(0, std^2) samples; reproducible for a given seed."""
+        out = self._gen.standard_normal(_checked_shape(shape), dtype=self.dtype)
+        if std != 1.0:
+            out *= self.dtype.type(std)
+        return out
+
+    def full(self, shape, value: float) -> np.ndarray:
+        """A constant tensor; draws nothing, so the generator's stream is unchanged."""
+        return np.full(_checked_shape(shape), value, dtype=self.dtype)
+
+
+class ShapeOnly:
+    """Stand-in for Rng that draws and allocates nothing.
+
+    `normal` and `full` return read-only zero-stride views of one scalar
+    (zero for `normal`), so a parameter tree built from it has the real
+    shapes and its `dtype` but takes no memory, whatever its widths:
+    enough to count parameters, or to name the slots a checkpoint fills.
+    """
+
+    def __init__(self, dtype=DEFAULT_DTYPE):
+        self.dtype = _source_dtype(dtype)
+
+    def normal(self, shape, std: float = 1.0) -> np.ndarray:
+        return self.full(shape, 0.0)
+
+    def full(self, shape, value: float) -> np.ndarray:
+        # a view over immutable bytes is read-only, and cannot be made writeable
+        shape = _checked_shape(shape)
+        scalar = np.array(value, self.dtype).tobytes()
+        return np.ndarray(shape, self.dtype, scalar, strides=(0,) * len(shape))

@@ -258,6 +258,13 @@ def test_conv2d_shape_guards():
         conv2d(np.zeros((2, 2, 2)), np.zeros((2, 2, 5, 5)))  # kernel does not fit
 
 
+@pytest.mark.parametrize("stride, padding", [(-1, 0), (0, 0), (1, -1), (2.5, 0), (1, 1.5), (True, 0), (1, False)])
+def test_conv2d_rejects_bad_stride_or_padding(stride, padding):
+    x, w = np.ones((2, 6, 6)), np.ones((3, 2, 3, 3))
+    with pytest.raises(ShapeError, match="stride >= 1 and padding >= 0"):
+        conv2d(x, w, stride=stride, padding=padding)
+
+
 # ---------------------------------------------------------------------------
 # block pieces
 
@@ -310,7 +317,7 @@ def test_block_matches_straightline_reference():
     g = gen(88)
     C, H, W = 8, 5, 6
     cfg = S3AConfig(channels=C, heads=2, window=3, anchors=3, stride="auto")
-    p = init_block_params(cfg, Rng(2), dtype=np.float64)
+    p = init_block_params(cfg, Rng(2, np.float64))
     # random weights exercise every path; inits keep biases zero
     p.cpe.filt = g.normal(size=(C, 3, 3)) * 0.2
     p.cpe.bias = g.normal(size=C) * 0.2

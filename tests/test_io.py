@@ -256,7 +256,7 @@ def test_model_checkpoint_load_draws_nothing(tmp_path, monkeypatch):
 
 def test_model_checkpoint_f64_round_trip(tmp_path):
     cfg = tiny_config(name="tiny-alt", window=1, anchors=3, stride=2, lce=False, classes=3)
-    params = build_model(cfg, Rng(10), dtype=np.float64)
+    params = build_model(cfg, Rng(10, np.float64))
     path = tmp_path / "m64.ssc"
     save_model_checkpoint(str(path), cfg, params)
     cfg2, params2 = load_model_checkpoint(str(path))

@@ -99,16 +99,23 @@ def test_lattice_rejects_bad_arguments():
         clamped_lattice(0, 8, 4, 1)  # even kernel
     with pytest.raises(ConfigError):
         clamped_lattice(0, 8, 3, 0)  # zero step
+    for center, k, d in ((2.7, 3, 1), (np.array([1.0, 2.0]), 3, 1), (True, 3, 1),
+                         (2, True, 1), (2, 3, True), (2, 3.0, 1), (2, 3, 1.0)):
+        with pytest.raises(ConfigError):
+            clamped_lattice(center, 5, k, d)
+    assert clamped_lattice(np.int64(2), 5, np.int64(3), np.int64(1)).tolist() == [1, 2, 3]
 
 
 def test_spec_validation():
-    with pytest.raises(ConfigError):
-        NeighborhoodSpec((2, 3))
-    with pytest.raises(ConfigError):
-        NeighborhoodSpec((3, 3), (0, 1))
+    for kernel, dilation in (((2, 3), 1), ((3, 3), (0, 1)), ((3,), 1), ((3, 3, 3), 1), ("33", 1),
+                             ((3.0, 3.0), 1), ((3, 3), (1.5, 1.5)), ((True, True), 1), ((3, 3), (True, 1))):
+        with pytest.raises(ConfigError):
+            NeighborhoodSpec(kernel, dilation)
     spec = NeighborhoodSpec((3, 5), (2, 1))
     assert spec.kernel == (3, 5)
     assert spec.dilation == (2, 1)
+    assert NeighborhoodSpec(3, 2) == NeighborhoodSpec((3, 3), (2, 2))  # an int is both axes
+    assert NeighborhoodSpec(np.int64(3), (np.int32(2), 2)).dilation == (2, 2)
 
 
 def test_flat_index_map_enumerates_height_major():
@@ -400,6 +407,8 @@ def test_forward_rejects_integer_operands():
     ints = np.ones((1, 4, 4, 2), dtype=np.int64)
     with pytest.raises(DTypeError):
         kernel_forward(ints, ints, ints, NeighborhoodSpec((3, 3)))
+    with pytest.raises(DTypeError, match="^softmax_rows: scores has non-floating dtype int64$"):
+        softmax_rows(ints)
 
 
 def test_backward_rejects_a_cotangent_of_another_dtype():

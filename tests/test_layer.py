@@ -238,13 +238,13 @@ def test_layer_forward_rejects_a_nested_list():
     cfg = S3AConfig(channels=4, heads=2)
     x = np.zeros((4, 5, 5)).tolist()
     with pytest.raises(DTypeError, match="^s3a_forward: x is a list, not a numpy array$"):
-        s3a_forward(x, init_s3a_params(cfg, Rng(0), dtype=np.float64), cfg)
+        s3a_forward(x, init_s3a_params(cfg, Rng(0, np.float64)), cfg)
 
 
 @pytest.mark.parametrize("lce", [False, True])
 def test_layer_forward_rejects_mixed_or_non_float_operands(lce):
     cfg = S3AConfig(channels=4, heads=2, lce=lce)
-    p64 = init_s3a_params(cfg, Rng(0), dtype=np.float64)
+    p64 = init_s3a_params(cfg, Rng(0, np.float64))
     x = np.zeros((4, 5, 5))
     with pytest.raises(DTypeError, match="^s3a_forward: w_qkv is float64 but x is float32$"):
         s3a_forward(x.astype(np.float32), p64, cfg)
@@ -258,7 +258,7 @@ def test_layer_forward_rejects_mixed_or_non_float_operands(lce):
 def test_layer_backward_rejects_a_cotangent_of_another_dtype():
     cfg = S3AConfig(channels=4, heads=2, lce=False)
     x = gen(36).normal(size=(4, 5, 5)).astype(np.float32)
-    out, saved = s3a_forward(x, init_s3a_params(cfg, Rng(0), dtype=np.float32), cfg)
+    out, saved = s3a_forward(x, init_s3a_params(cfg, Rng(0, np.float32)), cfg)
     with pytest.raises(DTypeError, match="^s3a_backward: grad_out is float64 but x is float32$"):
         s3a_backward(out.astype(np.float64), saved)
 
@@ -403,7 +403,7 @@ def test_backward_is_repeatable_on_the_same_state():
 
 def test_backward_grad_shapes_and_keys():
     cfg = S3AConfig(channels=6, heads=2)
-    params = init_s3a_params(cfg, Rng(6), dtype=np.float64)
+    params = init_s3a_params(cfg, Rng(6, np.float64))
     x = gen(68).normal(size=(6, 4, 5))
     _, saved = s3a_forward(x, params, cfg)
     grads = s3a_backward(np.ones_like(x), saved)
@@ -427,7 +427,7 @@ def test_backward_rejects_mismatched_cotangent():
 
 def test_backward_lce_off_has_no_lce_grads():
     cfg = S3AConfig(channels=4, heads=2, lce=False)
-    params = init_s3a_params(cfg, Rng(8), dtype=np.float64)
+    params = init_s3a_params(cfg, Rng(8, np.float64))
     x = gen(70).normal(size=(4, 3, 3))
     _, saved = s3a_forward(x, params, cfg)
     grads = s3a_backward(np.ones_like(x), saved)

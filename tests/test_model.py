@@ -397,7 +397,7 @@ def test_forward_rejects_image_of_another_dtype():
     for dtype in (np.float64, np.float16, np.uint8):
         with pytest.raises(DTypeError, match="input image"):
             model_forward(np.zeros((3, 32, 32), dtype=dtype), params, cfg)
-    params64 = build_model(cfg, Rng(1), dtype=np.float64)
+    params64 = build_model(cfg, Rng(1, np.float64))
     with pytest.raises(DTypeError):
         model_forward(np.zeros((3, 32, 32), dtype=np.float32), params64, cfg)
     logits = model_forward(np.zeros((3, 32, 32)), params64, cfg)

@@ -109,7 +109,7 @@ def test_oracle_lce_zero_filter_is_bias_only():
 
 def test_oracle_s3a_agrees_with_fast_layer_on_one_instance():
     cfg = S3AConfig(channels=8, heads=2, window=3, anchors=3, stride="auto")
-    params = init_s3a_params(cfg, Rng(5), dtype=np.float64)
+    params = init_s3a_params(cfg, Rng(5, np.float64))
     x = gen(53).normal(size=(8, 6, 7))
     fast, _ = s3a_forward(x, params, cfg)
     slow = oracle_s3a(x, params, cfg)
@@ -144,7 +144,7 @@ def test_triangulation_window_one_single_stage():
     # window 1 makes stage 1 a no-op, so the layer's attention reduces
     # to one dilated neighborhood attention over the raw values
     cfg = S3AConfig(channels=6, heads=2, window=1, anchors=3, stride=2, lce=False)
-    params = init_s3a_params(cfg, Rng(9), dtype=np.float64)
+    params = init_s3a_params(cfg, Rng(9, np.float64))
     x = gen(56).normal(size=(6, 5, 5))
     C, H, W = x.shape
     xf = x.reshape(C, -1)
