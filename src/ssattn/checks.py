@@ -9,8 +9,8 @@ counts, finite differences. A suite is one function registered with
 (passed, cases, max_err, tol, detail). The decorator enters it in
 `CHECKS` and its wall-clock budget in `BUDGETS`, in definition order,
 and wraps it so that every call, direct or through `run_checks`,
-raises ConfigError unless `cases` is an integer >= 1 and `tol` a
-number >= 0 (NaN is not), times the body, and returns a named
+raises ConfigError unless `seed` is an int >= 0, `cases` an integer
+>= 1 and `tol` a number >= 0 (NaN is not), times the body, and returns a named
 CheckResult. The CLI `check` command and the acceptance tests both
 run these functions.
 """
@@ -69,7 +69,7 @@ from .model import (
     tensor_items,
 )
 from .oracle import axis_points, dense_attention, fd_gradient, oracle_lce, oracle_s3a
-from .tensor import Rng, ShapeOnly, philox
+from .tensor import Rng, ShapeOnly, check_seed, philox
 
 PARAM_TARGETS = {"ssvit-t": 15e6, "ssvit-s": 27e6, "ssvit-b": 57e6, "ssvit-l": 100e6}
 FLOP_TARGET_T224 = 2.4e9
@@ -107,6 +107,7 @@ def _suite(name: str, budget: float):
 
     def register(body):
         def suite(seed: int = 0, cases: int | None = None, tol: float | None = None) -> CheckResult:
+            check_seed(seed)
             if cases is not None and not (isinstance(cases, numbers.Integral) and cases >= 1):
                 raise ConfigError(f"cases must be an integer >= 1, got {cases!r}")
             if tol is not None:

@@ -58,6 +58,8 @@ _MAX_BYTES = np.iinfo(np.intp).max
 
 
 def _tag_of(arr: np.ndarray) -> str:
+    if not isinstance(arr, (np.ndarray, np.generic)):  # a numpy scalar is a 0-d tensor
+        raise FormatError(f"a tensor must be a numpy array, got a {type(arr).__name__}")
     for tag, dt in DTYPES.items():
         if arr.dtype == dt:
             return tag

@@ -40,6 +40,7 @@ from .blocks import (
     stem_forward,
 )
 from .errors import ConfigError, DTypeError, NumericError, ShapeError, StateError
+from .kernel import _positive_int
 from .layer import S3AConfig, s3a_attention_flops, weight_macs
 from .report import ReportNode
 from .tensor import Rng, ShapeOnly, check_float_dtypes
@@ -115,6 +116,9 @@ def get_config(name: str, **overrides) -> ModelConfig:
     """Look up a preset by name, optionally overriding fields."""
     if name not in MODEL_PRESETS:
         raise ConfigError(f"unknown model {name!r}; known: {sorted(MODEL_PRESETS)}")
+    unknown = set(overrides) - {f.name for f in fields(ModelConfig)}
+    if unknown:
+        raise ConfigError(f"unknown config fields {sorted(unknown)}")
     cfg = MODEL_PRESETS[name]
     return replace(cfg, **overrides) if overrides else cfg
 
@@ -198,8 +202,10 @@ def count_flops(cfg: ModelConfig, H: int, W: int) -> ReportNode:
 
     Every layer's weights cost `weight_macs` at its output sites, and each
     block adds its S3A layer's two sweeps. Sides ceil-halve at every
-    stride-2 convolution; the head runs at one site.
+    stride-2 convolution; the head runs at one site. H and W must be
+    ints >= 1, else ConfigError.
     """
+    H, W = _positive_int(H, "H"), _positive_int(W, "W")
     params = build_model(cfg, ShapeOnly())
 
     def macs(node, sites: int) -> int:

@@ -17,6 +17,7 @@ tree's dtype is decided once, where its source is made.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -53,16 +54,20 @@ def check_float_dtypes(where: str, **operands: np.ndarray | None) -> None:
             raise DTypeError(f"{where}: {name} is {a.dtype} but {first} is {dtype}")
 
 
+def check_seed(seed) -> int:
+    """seed as an int if it is an integer >= 0 (numpy integers too, not bool); else ConfigError."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be an int >= 0, got {seed!r}")
+    return int(seed)
+
+
 def philox(seed: int, stream: int = 0) -> np.random.Generator:
-    """Generator over Philox(seed + stream); a negative seed is a ConfigError.
+    """Generator over Philox(seed + stream); a seed check_seed refuses is a ConfigError.
 
     Callers that need several independent draws from one seed ask for
     distinct non-negative `stream`s.
     """
-    seed = int(seed)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return np.random.Generator(np.random.Philox(seed + stream))
+    return np.random.Generator(np.random.Philox(check_seed(seed) + stream))
 
 
 def _source_dtype(dtype) -> np.dtype:
@@ -70,6 +75,19 @@ def _source_dtype(dtype) -> np.dtype:
     if dtype is None or dtype not in DTYPES.values():
         raise DTypeError(f"parameter dtype must be float32 or float64, got {dtype!r}")
     return np.dtype(dtype)
+
+
+def _finite(value, name: str) -> float:
+    """value if it is a finite real number; else ConfigError."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def _checked_std(std) -> float:
+    if _finite(std, "std") < 0:
+        raise ConfigError(f"std must be >= 0, got {std!r}")
+    return std
 
 
 def _checked_shape(shape) -> tuple[int, ...]:
@@ -86,20 +104,25 @@ class Rng:
     """Seedable Philox-backed random source; every tensor it makes has its `dtype`."""
 
     def __init__(self, seed: int, dtype=DEFAULT_DTYPE):
-        self.seed = int(seed)
+        self.seed = check_seed(seed)
         self.dtype = _source_dtype(dtype)
         self._gen = philox(self.seed)
 
     def normal(self, shape, std: float = 1.0) -> np.ndarray:
-        """I.i.d. normal(0, std^2) samples; reproducible for a given seed."""
+        """I.i.d. normal(0, std^2) samples; reproducible for a given seed.
+
+        std must be finite and >= 0, else ConfigError."""
+        std = _checked_std(std)
         out = self._gen.standard_normal(_checked_shape(shape), dtype=self.dtype)
         if std != 1.0:
             out *= self.dtype.type(std)
         return out
 
     def full(self, shape, value: float) -> np.ndarray:
-        """A constant tensor; draws nothing, so the generator's stream is unchanged."""
-        return np.full(_checked_shape(shape), value, dtype=self.dtype)
+        """A constant tensor; draws nothing, so the generator's stream is unchanged.
+
+        value must be finite, else ConfigError."""
+        return np.full(_checked_shape(shape), _finite(value, "value"), dtype=self.dtype)
 
 
 class ShapeOnly:
@@ -115,10 +138,11 @@ class ShapeOnly:
         self.dtype = _source_dtype(dtype)
 
     def normal(self, shape, std: float = 1.0) -> np.ndarray:
+        _checked_std(std)
         return self.full(shape, 0.0)
 
     def full(self, shape, value: float) -> np.ndarray:
         # a view over immutable bytes is read-only, and cannot be made writeable
         shape = _checked_shape(shape)
-        scalar = np.array(value, self.dtype).tobytes()
+        scalar = np.array(_finite(value, "value"), self.dtype).tobytes()
         return np.ndarray(shape, self.dtype, scalar, strides=(0,) * len(shape))

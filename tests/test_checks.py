@@ -25,6 +25,9 @@ def test_registry_order_is_shared_by_run_checks_budgets_and_readme():
 @pytest.mark.parametrize("name", list(CHECKS))
 def test_every_suite_rejects_bad_cases_and_tolerances_when_called_directly(name):
     for suite in (getattr(checks, f"check_{name}"), CHECKS[name]):
-        for bad in ({"cases": 0}, {"cases": -3}, {"cases": 1.5}, {"tol": float("nan")}, {"tol": -1.0}, {"tol": "1"}):
+        for bad in (
+            {"cases": 0}, {"cases": -3}, {"cases": 1.5}, {"tol": float("nan")}, {"tol": -1.0}, {"tol": "1"},
+            {"seed": 2.9}, {"seed": True}, {"seed": -1},
+        ):
             with pytest.raises(ConfigError, match="must be "):
                 suite(**bad)

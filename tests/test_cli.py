@@ -202,8 +202,15 @@ def test_check_rejects_nonpositive_cases(capsys):
         run_checks(["nope"])
 
 
-def test_check_detects_mutated_lattice(monkeypatch, capsys):
-    # a deliberate off-by-one in the fast path must trip the oracle suite
+@pytest.fixture
+def skew_lattice(monkeypatch):
+    """Installer of an off-by-one in the fast path's lattice builder.
+
+    The kernel builds each geometry's index plan once and caches it, so
+    the plans are cleared when the skew goes in (plans built from the
+    true lattice would hide it) and again when it comes out (skewed
+    plans would fail later, clean runs).
+    """
     orig = kernel_mod.clamped_lattice
 
     def skewed(center, side, k, d=1):
@@ -212,7 +219,16 @@ def test_check_detects_mutated_lattice(monkeypatch, capsys):
             lat = np.minimum(lat + d, side - 1)
         return lat
 
-    monkeypatch.setattr(kernel_mod, "clamped_lattice", skewed)
+    def install():
+        monkeypatch.setattr(kernel_mod, "clamped_lattice", skewed)
+        kernel_mod._plan.cache_clear()
+
+    yield install
+    monkeypatch.undo()
+    kernel_mod._plan.cache_clear()
+
+
+def assert_oracle_check_fails(capsys):
     rc = main(["check", "--suite", "oracle", "--cases", "8"])
     captured = capsys.readouterr()
     assert rc == 1
@@ -222,6 +238,19 @@ def test_check_detects_mutated_lattice(monkeypatch, capsys):
     assert result["name"] == "oracle"
     assert result["passed"] is False
     assert "[FAIL] oracle" in captured.err
+
+
+def test_check_detects_mutated_lattice(skew_lattice, capsys):
+    # a deliberate off-by-one in the fast path must trip the oracle suite
+    skew_lattice()
+    assert_oracle_check_fails(capsys)
+
+
+def test_check_detects_mutated_lattice_after_the_same_run_warmed_the_cache(skew_lattice, capsys):
+    # the clean run caches the plans of every geometry the skewed run asks for
+    run_cli(capsys, ["check", "--suite", "oracle", "--cases", "8"])
+    skew_lattice()
+    assert_oracle_check_fails(capsys)
 
 
 # ---------------------------------------------------------------------------

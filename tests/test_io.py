@@ -72,6 +72,12 @@ def test_tensor_round_trip_handles_non_contiguous_views():
     assert back.flags["C_CONTIGUOUS"]
 
 
+def test_saving_a_non_array_is_a_format_error(tmp_path):
+    with pytest.raises(FormatError, match="got a list"):
+        save_tensor(str(tmp_path / "t.ssa"), [1.0])
+    assert not os.listdir(tmp_path)
+
+
 def test_tensor_rejects_bad_magic():
     blob = tensor_to_bytes(np.zeros((2, 2), dtype=np.float32))
     with pytest.raises(MagicError):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ssattn.kernel as kernel_mod
 from ssattn.errors import (
     ConfigError,
     DTypeError,
@@ -416,6 +417,90 @@ def test_backward_rejects_a_cotangent_of_another_dtype():
     _, saved = kernel_forward(q, q, q, NeighborhoodSpec((3, 3)))
     with pytest.raises(DTypeError, match="kernel_backward: grads_out is float32 but v is float64"):
         kernel_backward(q.astype(np.float32), saved)
+
+
+def test_operands_that_are_not_arrays_raise_named_errors():
+    spec = NeighborhoodSpec((3, 3))
+    q = np.zeros((1, 4, 4, 2))
+    _, saved = kernel_forward(q, q, q, spec)
+    with pytest.raises(DTypeError, match="neighborhood_scores: q is a list"):
+        neighborhood_scores(q.tolist(), q, spec)
+    with pytest.raises(DTypeError, match="neighborhood_aggregate: attn is a list"):
+        neighborhood_aggregate(np.full((1, 4, 4, 9), 1 / 9).tolist(), q, spec)
+    with pytest.raises(DTypeError, match="kernel_backward: grads_out is a list"):
+        kernel_backward(q.tolist(), saved)
+
+
+# ---------------------------------------------------------------------------
+# the per-geometry plan cache
+
+
+def test_index_map_is_shared_and_read_only():
+    spec = NeighborhoodSpec((7, 7), (8, 8))
+    idx = flat_index_map(56, 56, spec)
+    assert idx is flat_index_map(56, 56, spec)
+    assert idx.dtype == np.int64 and not idx.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        idx[0, 0, 0] = 1
+    with pytest.raises(ValueError):
+        idx.flags.writeable = True
+    # a cached int geometry does not answer for a float side that compares equal
+    with pytest.raises(ConfigError):
+        flat_index_map(56.0, 56, spec)
+
+
+def _forward_backward(heads, H, W, spec, dtype, seed=40):
+    q, k, v, g = (gen(seed + i).normal(size=(heads, H, W, 4)).astype(dtype) for i in range(4))
+    out, saved = kernel_forward(q, k, v, spec)
+    return [out, saved.attn] + [a for _, a in sorted(kernel_backward(g, saved).items())]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "H, W, spec, classes",
+    [
+        (56, 56, NeighborhoodSpec((7, 7), (8, 8)), 4),  # stage-1 anchors
+        (20, 36, NeighborhoodSpec((3, 3), (1, 1)), 4),  # local window, non-square
+        (5, 5, NeighborhoodSpec((5, 5), (1, 1)), 1),  # one lattice for the whole map
+    ],
+)
+def test_cached_plan_gives_bitwise_the_results_of_a_fresh_one(H, W, spec, classes, dtype):
+    assert len(run_classes(flat_index_map(H, W, spec))) == classes
+    kernel_mod._plan.cache_clear()
+    fresh = _forward_backward(2, H, W, spec, dtype)
+    assert kernel_mod._plan.cache_info().currsize == 1
+    for _ in range(2):  # the plan and its CSR pattern are cached now
+        for a, b in zip(_forward_backward(2, H, W, spec, dtype), fresh):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_forward_alone_builds_no_sweep_pattern():
+    spec = NeighborhoodSpec((3, 3), (2, 2))
+    kernel_mod._plan.cache_clear()
+    q = gen(41).normal(size=(2, 9, 7, 4))
+    kernel_forward(q, q, q, spec)
+    assert kernel_mod._plan(9, 7, spec).csr is None
+
+
+def test_plan_cache_stays_within_its_bound():
+    spec = NeighborhoodSpec((3, 3))
+    for side in range(1, kernel_mod._PLANS + 10):
+        flat_index_map(side, 3, spec)
+        assert kernel_mod._plan.cache_info().currsize <= kernel_mod._PLANS
+    assert kernel_mod._plan.cache_info().currsize == kernel_mod._PLANS
+
+
+def test_one_plan_serves_several_head_counts():
+    H, W, spec = 14, 11, NeighborhoodSpec((7, 7), (4, 2))
+    kernel_mod._plan.cache_clear()
+    fresh = {heads: _forward_backward(heads, H, W, spec, np.float64) for heads in (1, 3)}
+    for heads in (1, 3, 1, 3):
+        for a, b in zip(_forward_backward(heads, H, W, spec, np.float64), fresh[heads]):
+            assert a.tobytes() == b.tobytes()
+    # head 0 of the three-head call is the one-head call on head 0's inputs
+    assert kernel_mod._plan.cache_info().currsize == 1
+    for a, b in zip(fresh[3], fresh[1]):
+        np.testing.assert_allclose(a[:1], b, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

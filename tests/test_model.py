@@ -62,6 +62,19 @@ def test_get_config_unknown_name():
         get_config("ssvit-xxl")
 
 
+def test_get_config_unknown_override_is_config_error():
+    with pytest.raises(ConfigError, match=r"unknown config fields \['foo'\]"):
+        get_config("ssvit-t", foo=1)
+
+
+def test_count_flops_sides_must_be_positive_ints():
+    cfg = get_config("ssvit-t")
+    for H, W in ((2.5, 64), ("64", 64), (64, 0), (True, 64), (64, None)):
+        with pytest.raises(ConfigError, match="is not an int >= 1"):
+            count_flops(cfg, H, W)
+    assert count_flops(cfg, np.int64(64), 64).total() == count_flops(cfg, 64, 64).total()
+
+
 def test_get_config_overrides():
     cfg = get_config("ssvit-t", classes=10, window=5)
     assert cfg.classes == 10

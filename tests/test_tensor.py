@@ -67,6 +67,31 @@ def test_negative_seed_is_config_error_through_the_python_api():
         bench_scaling(seed=-1)  # its streams are seed + 30 and seed + 31
 
 
+@pytest.mark.parametrize("seed", [1.5, True, "3", None, 2.0, np.float64(4.0)])
+def test_seeds_must_be_ints(seed):
+    with pytest.raises(ConfigError, match="seed must be an int >= 0"):
+        Rng(seed)
+    with pytest.raises(ConfigError, match="seed must be an int >= 0"):
+        run_checks(["params"], seed=seed)
+
+
+def test_numpy_integer_seeds_draw_the_int_seed_stream():
+    want = Rng(3).normal(4)
+    for seed in (np.int64(3), np.uint8(3), np.int32(3)):
+        assert Rng(seed).normal(4).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("source", [Rng(0), ShapeOnly()], ids=["Rng", "ShapeOnly"])
+def test_sources_reject_non_finite_or_negative_settings(source):
+    for std in (-1.0, float("nan"), float("inf"), "1"):
+        with pytest.raises(ConfigError, match="std must be"):
+            source.normal(3, std)
+    for value in (float("nan"), float("inf"), -float("inf"), None):
+        with pytest.raises(ConfigError, match="value must be a finite number"):
+            source.full(3, value)
+    assert source.normal(3, 0.0).tolist() == [0.0] * 3
+
+
 @pytest.mark.parametrize("shape", [5, np.int64(5), (2, 3), (4, 0, 2), ()])
 def test_shape_only_gives_read_only_zero_stride_views(shape):
     for dtype in (F32, F64):
