@@ -14,10 +14,9 @@ import time
 
 import numpy as np
 
-from .errors import ConfigError
 from .layer import S3AConfig, init_s3a_params, s3a_flops, s3a_forward
 from .model import ModelConfig, build_model, count_flops, model_forward
-from .tensor import Rng, philox
+from .tensor import Rng, check_int, philox
 
 SCALING_BOUND = 2.0
 SCALING_SIDES = (56, 28, 14)
@@ -65,8 +64,7 @@ def _stats(samples: list[float], flops: int) -> dict:
 
 def bench_model(cfg: ModelConfig, H: int, W: int, repeats: int, seed: int, dtype) -> dict:
     """Whole-model forward timing at one input geometry."""
-    if repeats < 3:
-        raise ConfigError(f"repeats must be >= 3, got {repeats}")
+    check_int(repeats, "repeats", 3)
     params = build_model(cfg, Rng(seed, dtype))
     g = philox(seed, 1)
     x = g.normal(size=(cfg.in_channels, H, W)).astype(dtype)
@@ -84,8 +82,7 @@ def bench_scaling(repeats: int = 5, seed: int = 0, dtype=np.float32) -> dict:
     is that measured per-token time stays within SCALING_BOUND between
     the fastest and slowest point.
     """
-    if repeats < 3:
-        raise ConfigError(f"repeats must be >= 3, got {repeats}")
+    repeats, seed = check_int(repeats, "repeats", 3), check_int(seed, "seed", 0)
     cfg = S3AConfig(channels=SCALING_CHANNELS, heads=SCALING_HEADS,
                     window=3, anchors=7, stride="auto")
     params = init_s3a_params(cfg, Rng(seed + 30, dtype))

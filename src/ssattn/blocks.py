@@ -39,7 +39,7 @@ from .layer import (
     init_s3a_params,
     s3a_forward,
 )
-from .tensor import F32, Rng, check_float_dtypes
+from .tensor import F32, Rng, check_float_dtypes, check_int
 
 LN_EPS = 1e-6
 CPE_KERNEL = 3
@@ -153,9 +153,7 @@ def conv2d(
     check_float_dtypes("conv2d", x=x, w=w, b=b)
     if x.ndim != 3 or w.ndim != 4 or w.shape[1] != x.shape[0]:
         raise ShapeError(f"conv2d expects x [Cin,H,W] and w [Cout,Cin,kh,kw], got {x.shape}, {w.shape}")
-    ints = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (stride, padding))
-    if not (ints and stride >= 1 and padding >= 0):
-        raise ShapeError(f"conv2d needs an int stride >= 1 and padding >= 0, got {stride!r}, {padding!r}")
+    stride, padding = check_int(stride, "stride", 1, ShapeError), check_int(padding, "padding", 0, ShapeError)
     kh, kw = w.shape[2:]
     taps = _tap_window(x, kh, kw, (padding, padding), stride)  # [Cin, oh, ow, kh, kw]
     out = np.tensordot(w, taps, axes=([1, 2, 3], [0, 3, 4]))

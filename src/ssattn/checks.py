@@ -52,10 +52,10 @@ from .layer import (
     S3AConfig,
     S3AParams,
     depthwise_forward,
-    init_s3a_params,
     resolved_strides,
     s3a_backward,
     s3a_forward,
+    s3a_param_shapes,
 )
 from .model import (
     MODEL_PRESETS,
@@ -69,7 +69,7 @@ from .model import (
     tensor_items,
 )
 from .oracle import axis_points, dense_attention, fd_gradient, oracle_lce, oracle_s3a
-from .tensor import Rng, ShapeOnly, check_seed, philox
+from .tensor import Rng, check_int, philox
 
 PARAM_TARGETS = {"ssvit-t": 15e6, "ssvit-s": 27e6, "ssvit-b": 57e6, "ssvit-l": 100e6}
 FLOP_TARGET_T224 = 2.4e9
@@ -107,9 +107,9 @@ def _suite(name: str, budget: float):
 
     def register(body):
         def suite(seed: int = 0, cases: int | None = None, tol: float | None = None) -> CheckResult:
-            check_seed(seed)
-            if cases is not None and not (isinstance(cases, numbers.Integral) and cases >= 1):
-                raise ConfigError(f"cases must be an integer >= 1, got {cases!r}")
+            check_int(seed, "seed", 0)
+            if cases is not None:
+                check_int(cases, "cases")
             if tol is not None:
                 validate_tol(name, tol)
             t0 = time.perf_counter()
@@ -124,19 +124,14 @@ def _suite(name: str, budget: float):
     return register
 
 
-def _map_layer(params: S3AParams, fn) -> S3AParams:
-    """Apply fn to every tensor of a layer, in field order; None fields stay None."""
-    return S3AParams(**{k: None if a is None else fn(a) for k, a in vars(params).items()})
-
-
 def _random_layer(cfg: S3AConfig, g: np.random.Generator, dtype, spread: float = 0.35) -> S3AParams:
-    """Layer parameters with random weights AND biases, for stress tests."""
-    template = init_s3a_params(cfg, ShapeOnly(dtype))
-    return _map_layer(template, lambda a: g.normal(0.0, spread, size=a.shape).astype(dtype))
+    """Layer parameters with random weights AND biases, drawn in field order, for stress tests."""
+    shapes = s3a_param_shapes(cfg).items()
+    return S3AParams(**{k: None if s is None else g.normal(0.0, spread, size=s).astype(dtype) for k, s in shapes})
 
 
 def _cast_layer(params: S3AParams, dtype) -> S3AParams:
-    return _map_layer(params, lambda a: a.astype(dtype))
+    return S3AParams(**{k: None if a is None else a.astype(dtype) for k, a in vars(params).items()})
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .model import (
     count_params,
     model_forward,
 )
-from .tensor import DTYPES
+from .tensor import DTYPES, check_int
 
 MAC_CONVENTION = (
     "1 MAC = 1 FLOP; softmax, GELU, normalization and bias additions are excluded"
@@ -53,11 +53,16 @@ def _resolution_arg(value: str) -> int:
     return res
 
 
-def _seed_arg(value: str) -> int:
-    seed = int(value)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
-    return seed
+def _int_arg(name: str, minimum: int):
+    """An argparse type for an integer option, refused by `check_int`'s rule and message."""
+
+    def parse(value: str) -> int:
+        try:
+            return check_int(int(value), name, minimum)
+        except (ValueError, ConfigError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def _tol_arg(value: str):
@@ -129,8 +134,6 @@ def _cmd_describe(args, parser) -> int:
 
 
 def _cmd_check(args, parser) -> int:
-    if args.cases is not None and args.cases < 1:
-        parser.error(f"--cases must be >= 1, got {args.cases}")
     names = args.suite or list(CHECKS)
     tols = dict(args.tol or [])
     results = run_checks(names, seed=args.seed, cases=args.cases, tols=tols)
@@ -156,8 +159,6 @@ def _cmd_check(args, parser) -> int:
 
 
 def _cmd_bench(args, parser) -> int:
-    if args.repeats < 3:
-        parser.error(f"--repeats must be >= 3, got {args.repeats}")
     cfg = _resolve_config(args, parser)
     res = args.resolution
     doc = {
@@ -229,10 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_desc.add_argument("--out", default=None, help="also write the JSON document here")
 
     p_check = sub.add_parser("check", help="run the numerical validation suites")
-    p_check.add_argument("--seed", type=_seed_arg, default=0)
+    p_check.add_argument("--seed", type=_int_arg("seed", 0), default=0)
     p_check.add_argument("--suite", action="append", choices=sorted(CHECKS), default=None,
                          help="suite to run (repeatable; default: all)")
-    p_check.add_argument("--cases", type=int, default=None,
+    p_check.add_argument("--cases", type=_int_arg("cases", 1), default=None,
                          help="work per suite, not the same unit in each: oracle, gradients and "
                               "lattice run N cases and io N tensors; normalization and equivariance "
                               "check at least N rows or queries; degeneracy runs N//2 (min 1) per "
@@ -245,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("config_pos", nargs="?", metavar="CONFIG", default=None)
     p_bench.add_argument("--config", default=None)
     p_bench.add_argument("--resolution", type=_resolution_arg, default=224)
-    p_bench.add_argument("--repeats", type=int, default=5)
-    p_bench.add_argument("--seed", type=_seed_arg, default=0)
+    p_bench.add_argument("--repeats", type=_int_arg("repeats", 3), default=5)
+    p_bench.add_argument("--seed", type=_int_arg("seed", 0), default=0)
     p_bench.add_argument("--dtype", choices=sorted(DTYPES), default="f32")
     neighborhood_flags(p_bench)
     p_bench.add_argument("--out", default=None)

@@ -45,7 +45,7 @@ from .model import (
     load_state,
     param_items,
 )
-from .tensor import DTYPES, ShapeOnly
+from .tensor import DTYPES, ShapeOnly, check_int
 
 TENSOR_MAGIC = b"SSA1"
 CHECKPOINT_MAGIC = b"SSC1"
@@ -106,8 +106,9 @@ def tensor_from_bytes(blob: bytes | memoryview) -> np.ndarray:
     if not isinstance(tag, str) or tag not in _DTYPE_TAGS:
         raise FormatError(f"tensor header malformed: {header!r}")
     shape = header.get("shape")
-    if not isinstance(shape, list) or any(type(s) is not int or s < 0 for s in shape):
+    if not isinstance(shape, list):
         raise FormatError(f"tensor shape malformed: {shape!r}")
+    shape = [check_int(s, "tensor extent", 0, FormatError) for s in shape]
     itemsize = _DTYPE_TAGS[tag].itemsize
     # Python ints do not overflow; numpy bounds the rank and the nonzero extents
     if len(shape) > _MAX_RANK or math.prod(max(s, 1) for s in shape) * itemsize > _MAX_BYTES:
@@ -204,9 +205,10 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
 
 
 def save_model_checkpoint(path: str, cfg: ModelConfig, params: ModelParams) -> None:
-    """Write all model parameters plus the embedded configuration."""
+    """Write all model parameters plus the embedded configuration, if `load_state` admits them."""
     items = param_items(params)
     dtype_tag = _tag_of(items[0][1])
+    load_state(build_model(cfg, ShapeOnly(DTYPES[dtype_tag])), dict(items))
     save_checkpoint(path, items, meta={"config": config_to_dict(cfg), "dtype": dtype_tag})
 
 

@@ -54,13 +54,13 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, EmptyDomainError, NumericError, ShapeError
-from .tensor import check_float_dtypes
+from .tensor import check_float_dtypes, check_int
 
 
-def _positive_int(v, name: str, odd: bool = False) -> int:
-    """v as an int if it is an integer >= 1 (odd, if asked) and not a bool; else ConfigError."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1 or (odd and v % 2 == 0):
-        raise ConfigError(f"{name}: {v!r} is not {'an odd' if odd else 'an'} int >= 1")
+def _odd(v, name: str) -> int:
+    """v as an int if check_int admits it and it is odd; else ConfigError."""
+    if check_int(v, name) % 2 == 0:
+        raise ConfigError(f"{name} must be odd, got {v!r}")
     return int(v)
 
 
@@ -72,7 +72,8 @@ def _pair(value, name: str, odd: bool = False) -> tuple[int, int]:
         a, b = value
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be an int or a pair, got {value!r}") from None
-    return (_positive_int(a, name, odd), _positive_int(b, name, odd))
+    check = _odd if odd else check_int
+    return (check(a, name), check(b, name))
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,11 @@ class NeighborhoodSpec:
 
 
 def effective_kernel(k: int, side: int, d: int) -> int:
-    """Largest odd count <= k whose span fits on an axis of extent `side`."""
-    if side < 1:
-        raise EmptyDomainError(f"axis of extent {side} has no lattice")
-    fit = (side - 1) // d + 1
+    """Largest odd count <= k whose span fits on an axis of extent `side` (EmptyDomainError if < 1)."""
+    fit = (check_int(side, "side", below=EmptyDomainError) - 1) // check_int(d, "d") + 1
     if fit % 2 == 0:
         fit -= 1
-    return max(1, min(k, fit))
+    return max(1, min(_odd(k, "k"), fit))
 
 
 def clamped_lattice(center: int | np.ndarray, side: int, k: int, d: int = 1) -> np.ndarray:
@@ -104,19 +103,15 @@ def clamped_lattice(center: int | np.ndarray, side: int, k: int, d: int = 1) -> 
     near borders the whole lattice shifts (step preserved) so that all
     members stay in bounds. An int center gives [k_eff] indices, an
     array of centers gives one lattice per center, [..., k_eff]. Centers
-    must be integers, k an odd int and d an int, both >= 1.
+    must be integers; side, k and d are checked as in `effective_kernel`.
     """
-    if side < 1:
-        raise EmptyDomainError(f"axis of extent {side} has no lattice")
-    _positive_int(k, "k", odd=True)
-    _positive_int(d, "d")
+    k_eff = effective_kernel(k, side, d)
     c = np.asarray(center)
     if c.dtype.kind not in "iu":
         raise ConfigError(f"lattice centers must be integers, got {center!r}")
     c = c.astype(np.int64, copy=False)
     if np.any((c < 0) | (c >= side)):
         raise ShapeError(f"center {center} outside axis of extent {side}")
-    k_eff = effective_kernel(k, side, d)
     start = np.clip(c - (k_eff // 2) * d, 0, side - 1 - (k_eff - 1) * d)
     return start[..., None] + d * np.arange(k_eff, dtype=np.int64)
 
@@ -184,12 +179,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class _Plan:
-    """The data-independent index work of one geometry, built once and never written.
+    """The data-independent index work of one geometry, built once.
 
     `idx` is the [H, W, n] index map. `classes` holds, per run class,
     its row runs, column runs and the [Gr, Gc, n] key sets of its
-    rectangles. `csr` is (heads, indices, indptr) of the sweep matrices
-    for the head count of the latest backward, or None before the first.
+    rectangles; both are read-only. `csr` is (heads, indices, indptr) of
+    the sweep matrices for the head count of the latest backward, None
+    before the first, and rewritten when the head count changes.
     """
 
     def __init__(self, idx: np.ndarray):
@@ -225,6 +221,7 @@ _PLANS = 32
 # typed: a float or bool side (56.0 == 56) is its own key and fails as uncached
 @functools.lru_cache(maxsize=_PLANS, typed=True)
 def _plan(H: int, W: int, spec: NeighborhoodSpec) -> _Plan:
+    H, W = check_int(H, "H", below=EmptyDomainError), check_int(W, "W", below=EmptyDomainError)
     lh = clamped_lattice(np.arange(H), H, spec.kernel[0], spec.dilation[0])
     lw = clamped_lattice(np.arange(W), W, spec.kernel[1], spec.dilation[1])
     # frozen before the reshape, so the map's writeable flag cannot be set back
@@ -385,6 +382,7 @@ def kernel_backward(grads_out: np.ndarray, saved: KernelSaved) -> dict[str, np.n
 
 def kernel_flops(H: int, W: int, heads: int, dh: int, spec: NeighborhoodSpec) -> int:
     """Multiply-accumulate count: scores plus aggregation, softmax excluded."""
+    H, W = check_int(H, "H", below=EmptyDomainError), check_int(W, "W", below=EmptyDomainError)
     keh = effective_kernel(spec.kernel[0], H, spec.dilation[0])
     kew = effective_kernel(spec.kernel[1], W, spec.dilation[1])
-    return 2 * H * W * heads * dh * keh * kew
+    return 2 * H * W * check_int(heads, "heads") * check_int(dh, "dh") * keh * kew

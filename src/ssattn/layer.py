@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, EmptyDomainError, ShapeError
 from .kernel import (
     KernelSaved,
     NeighborhoodSpec,
@@ -34,7 +34,7 @@ from .kernel import (
     kernel_flops,
     kernel_forward,
 )
-from .tensor import Rng, ShapeOnly, check_float_dtypes
+from .tensor import Rng, ShapeOnly, check_float_dtypes, check_int
 
 LCE_KERNEL = 5
 INIT_STD = 0.02
@@ -58,9 +58,8 @@ class S3AConfig:
     lce: bool = True
 
     def __post_init__(self):
-        for v in (self.channels, self.heads):
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise ConfigError(f"channels/heads must be ints >= 1, got {self.channels!r}/{self.heads!r}")
+        object.__setattr__(self, "channels", check_int(self.channels, "channels"))
+        object.__setattr__(self, "heads", check_int(self.heads, "heads"))
         if not isinstance(self.lce, bool):
             raise ConfigError(f"lce must be a bool, got {self.lce!r}")
         if self.channels % self.heads:
@@ -94,19 +93,19 @@ class S3AParams:
     lce_bias: np.ndarray | None = None  # [C]
 
 
+def s3a_param_shapes(cfg: S3AConfig) -> dict[str, tuple[int, ...] | None]:
+    """The shape of every S3AParams field under cfg, in field order; None where absent."""
+    C, lce = cfg.channels, cfg.lce
+    return {"w_qkv": (3 * C, C), "b_qkv": (3 * C,), "w_out": (C, C), "b_out": (C,),
+            "lce_filt": (C, LCE_KERNEL, LCE_KERNEL) if lce else None, "lce_bias": (C,) if lce else None}
+
+
 def init_s3a_params(cfg: S3AConfig, rng: Rng) -> S3AParams:
-    """Weights ~ normal(0, 0.02), biases zero."""
-    C = cfg.channels
-    params = S3AParams(
-        w_qkv=rng.normal((3 * C, C), std=INIT_STD),
-        b_qkv=rng.full(3 * C, 0.0),
-        w_out=rng.normal((C, C), std=INIT_STD),
-        b_out=rng.full(C, 0.0),
-    )
-    if cfg.lce:
-        params.lce_filt = rng.normal((C, LCE_KERNEL, LCE_KERNEL), std=INIT_STD)
-        params.lce_bias = rng.full(C, 0.0)
-    return params
+    """Weights (two or more axes) ~ normal(0, 0.02), biases zero, drawn in field order."""
+    return S3AParams(**{
+        k: None if s is None else rng.normal(s, std=INIT_STD) if len(s) > 1 else rng.full(s, 0.0)
+        for k, s in s3a_param_shapes(cfg).items()
+    })
 
 
 def _padded(x: np.ndarray, kh: int, kw: int, pad: tuple[int, int], spare_rows: int = 0) -> np.ndarray:
@@ -228,6 +227,10 @@ def s3a_forward(
 ) -> tuple[np.ndarray, S3ASaved]:
     """Apply the layer to a [C, H, W] map; returns output and saved state."""
     check_float_dtypes("s3a_forward", x=x, **vars(params))
+    for name, shape in s3a_param_shapes(cfg).items():
+        got = getattr(getattr(params, name), "shape", None)
+        if got != shape:
+            raise ShapeError(f"s3a_forward: {name} has shape {got}, the layer's cfg needs {shape}")
     if x.ndim != 3:
         raise ShapeError(f"expected [C, H, W] input, got shape {x.shape}")
     C, H, W = x.shape
@@ -320,6 +323,7 @@ def weight_macs(tensors, sites: int) -> int:
 
 def s3a_flops(cfg: S3AConfig, H: int, W: int) -> int:
     """Multiply-accumulates for one application on an H x W map."""
+    H, W = check_int(H, "H", below=EmptyDomainError), check_int(W, "W", below=EmptyDomainError)
     weights = vars(init_s3a_params(cfg, ShapeOnly())).values()
     return weight_macs(weights, H * W) + s3a_attention_flops(cfg, H, W)
 

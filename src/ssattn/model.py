@@ -40,10 +40,9 @@ from .blocks import (
     stem_forward,
 )
 from .errors import ConfigError, DTypeError, NumericError, ShapeError, StateError
-from .kernel import _positive_int
 from .layer import S3AConfig, s3a_attention_flops, weight_macs
 from .report import ReportNode
-from .tensor import Rng, ShapeOnly, check_float_dtypes
+from .tensor import Rng, ShapeOnly, check_float_dtypes, check_int
 
 NUM_STAGES = 4
 
@@ -81,11 +80,11 @@ class ModelConfig:
             value = getattr(self, field_name)
             if not isinstance(value, (tuple, list)) or len(value) != NUM_STAGES:
                 raise ConfigError(f"{field_name} must have {NUM_STAGES} entries, got {value!r}")
+            if field_name != "stage_overrides":
+                value = [check_int(v, field_name) for v in value]
             object.__setattr__(self, field_name, tuple(value))
-        counts = self.blocks + self.channels + self.heads
-        for v in counts + (self.ffn_ratio, self.classes, self.in_channels):
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise ConfigError(f"counts, widths and ratios must be ints >= 1, got {v!r}")
+        for field_name in ("ffn_ratio", "classes", "in_channels"):
+            object.__setattr__(self, field_name, check_int(getattr(self, field_name), field_name))
         for ov in self.stage_overrides:
             if ov is not None and (not isinstance(ov, dict) or set(ov) - _OVERRIDE_KEYS):
                 raise ConfigError(
@@ -149,10 +148,10 @@ def build_model(cfg: ModelConfig, rng: Rng | ShapeOnly) -> ModelParams:
 def check_input_sides(H: int, W: int) -> None:
     """Reject an input geometry the backbone cannot run.
 
-    Sides must be at least 32 and divisible by 4 so that every stage has
-    a nonempty feature map of predictable extent.
+    Sides must be ints >= 32 and divisible by 4 so that every stage has
+    a nonempty feature map of predictable extent; else ShapeError.
     """
-    if min(H, W) < 32 or H % 4 or W % 4:
+    if check_int(H, "H", 32, ShapeError) % 4 or check_int(W, "W", 32, ShapeError) % 4:
         raise ShapeError(f"input sides must be >= 32 and divisible by 4, got {H}x{W}")
 
 
@@ -205,7 +204,7 @@ def count_flops(cfg: ModelConfig, H: int, W: int) -> ReportNode:
     stride-2 convolution; the head runs at one site. H and W must be
     ints >= 1, else ConfigError.
     """
-    H, W = _positive_int(H, "H"), _positive_int(W, "W")
+    H, W = check_int(H, "H"), check_int(W, "W")
     params = build_model(cfg, ShapeOnly())
 
     def macs(node, sites: int) -> int:
@@ -292,6 +291,8 @@ def load_state(params: ModelParams, tensors: dict[str, np.ndarray]) -> None:
 
 
 def _jsonable(value):
+    if isinstance(value, np.integer):  # a numpy-int window, anchor count or stride
+        return int(value)
     if isinstance(value, tuple):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):

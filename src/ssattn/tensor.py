@@ -5,7 +5,8 @@ default) or float64 (used by the oracles and gradient checks). This
 module pins down the dtypes and random initialization; everything
 else in the package builds on these arrays, and every numeric entry
 point guards its operands with `check_float_dtypes`, so nothing is
-silently promoted or cast.
+silently promoted or cast. Every integer argument (extents, strides,
+counts, seeds) passes `check_int`.
 
 Randomness comes from numpy's Philox bit generator, a documented
 counter-based PRNG: a given 64-bit seed yields the same draw sequence
@@ -54,20 +55,24 @@ def check_float_dtypes(where: str, **operands: np.ndarray | None) -> None:
             raise DTypeError(f"{where}: {name} is {a.dtype} but {first} is {dtype}")
 
 
-def check_seed(seed) -> int:
-    """seed as an int if it is an integer >= 0 (numpy integers too, not bool); else ConfigError."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"seed must be an int >= 0, got {seed!r}")
-    return int(seed)
+def check_int(value, name: str, minimum: int = 1, error=ConfigError, below=None) -> int:
+    """value as an int if it is an int or numpy integer (not a bool) >= minimum, else `error`
+    (`below`, if given, for an integer under minimum): the one test of an integer argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        below = error
+    elif value >= minimum:
+        return int(value)
+    raise (below or error)(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
 def philox(seed: int, stream: int = 0) -> np.random.Generator:
-    """Generator over Philox(seed + stream); a seed check_seed refuses is a ConfigError.
+    """Generator over Philox(seed + stream); ConfigError unless both are ints >= 0.
 
     Callers that need several independent draws from one seed ask for
-    distinct non-negative `stream`s.
+    distinct `stream`s.
     """
-    return np.random.Generator(np.random.Philox(check_seed(seed) + stream))
+    seed, stream = check_int(seed, "seed", 0), check_int(stream, "stream", 0)
+    return np.random.Generator(np.random.Philox(seed + stream))
 
 
 def _source_dtype(dtype) -> np.dtype:
@@ -91,10 +96,9 @@ def _checked_std(std) -> float:
 
 
 def _checked_shape(shape) -> tuple[int, ...]:
-    """shape (an int or a sequence of ints) as a tuple; SizeError if negative or too large."""
-    dims = tuple(int(s) for s in shape) if np.iterable(shape) else (int(shape),)
-    if any(s < 0 for s in dims):
-        raise SizeError(f"negative extent in shape {dims}")
+    """shape (an int or a sequence of ints >= 0) as a tuple; else, or if too large, SizeError."""
+    dims = shape if np.iterable(shape) else (shape,)
+    dims = tuple(check_int(s, "shape extent", 0, SizeError) for s in dims)
     if math.prod(dims) > _MAX_ELEMENTS:
         raise SizeError(f"shape {dims} overflows the address space")
     return dims
@@ -104,7 +108,7 @@ class Rng:
     """Seedable Philox-backed random source; every tensor it makes has its `dtype`."""
 
     def __init__(self, seed: int, dtype=DEFAULT_DTYPE):
-        self.seed = check_seed(seed)
+        self.seed = check_int(seed, "seed", 0)
         self.dtype = _source_dtype(dtype)
         self._gen = philox(self.seed)
 

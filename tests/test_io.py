@@ -15,7 +15,9 @@ from ssattn.errors import (
     FormatError,
     MagicError,
     ManifestError,
+    NumericError,
     PayloadSizeError,
+    ShapeError,
     SSAttnError,
     TruncatedPayloadError,
 )
@@ -227,6 +229,19 @@ def test_model_checkpoint_round_trip(tmp_path):
         assert na == nb
         assert a.tobytes() == b.tobytes()
         assert a.dtype == b.dtype
+
+
+def test_model_checkpoint_writer_refuses_what_the_reader_refuses(tmp_path):
+    cfg = tiny_config()
+    params = build_model(cfg, Rng(9))
+    params.stages[2][0].s3a.w_out[0, 0] = np.nan
+    path = tmp_path / "m.ssc"
+    with pytest.raises(NumericError, match="'stage3.block1.s3a.w_out' holds NaN or Inf"):
+        save_model_checkpoint(str(path), cfg, params)
+    wider = build_model(tiny_config(channels=(8, 16, 32, 128)), Rng(9))
+    with pytest.raises(ShapeError, match="'downsample3.w': stored shape"):
+        save_model_checkpoint(str(path), cfg, wider)
+    assert list(tmp_path.iterdir()) == []  # neither wrote a file, nor a temporary
 
 
 def test_loaded_tensors_own_their_data(tmp_path):

@@ -255,6 +255,23 @@ def test_layer_forward_rejects_mixed_or_non_float_operands(lce):
             s3a_forward(x, S3AParams(**{**vars(p64), "lce_filt": p64.lce_filt.astype(np.float32)}), cfg)
 
 
+@pytest.mark.parametrize("lce", [False, True])
+def test_layer_forward_checks_parameter_shapes_against_the_config(lce):
+    cfg = S3AConfig(channels=8, heads=2, lce=lce)
+    x = gen(37).normal(size=(8, 5, 5))
+    wide = init_s3a_params(S3AConfig(channels=16, heads=2, lce=lce), Rng(0, np.float64))
+    with pytest.raises(ShapeError, match=r"^s3a_forward: w_qkv has shape \(48, 16\), the layer's cfg needs \(24, 8\)$"):
+        s3a_forward(x, wide, cfg)
+    # the LCE tensors are present exactly when cfg.lce is set
+    other = init_s3a_params(S3AConfig(channels=8, heads=2, lce=not lce), Rng(0, np.float64))
+    with pytest.raises(ShapeError, match="^s3a_forward: lce_filt has shape "):
+        s3a_forward(x, other, cfg)
+    column = init_s3a_params(cfg, Rng(0, np.float64))
+    column.b_qkv = column.b_qkv[:, None]  # would broadcast to a [24, 24, 25] qkv
+    with pytest.raises(ShapeError, match=r"b_qkv has shape \(24, 1\)"):
+        s3a_forward(x, column, cfg)
+
+
 def test_layer_backward_rejects_a_cotangent_of_another_dtype():
     cfg = S3AConfig(channels=4, heads=2, lce=False)
     x = gen(36).normal(size=(4, 5, 5)).astype(np.float32)

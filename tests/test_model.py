@@ -70,7 +70,7 @@ def test_get_config_unknown_override_is_config_error():
 def test_count_flops_sides_must_be_positive_ints():
     cfg = get_config("ssvit-t")
     for H, W in ((2.5, 64), ("64", 64), (64, 0), (True, 64), (64, None)):
-        with pytest.raises(ConfigError, match="is not an int >= 1"):
+        with pytest.raises(ConfigError, match=r"^[HW] must be an int >= 1, got "):
             count_flops(cfg, H, W)
     assert count_flops(cfg, np.int64(64), 64).total() == count_flops(cfg, 64, 64).total()
 
