@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from .layer import S3AConfig, init_s3a_params, s3a_flops, s3a_forward
-from .model import ModelConfig, build_model, count_flops, model_forward
+from .model import ModelConfig, build_model, check_input_sides, count_flops, model_forward
 from .tensor import Rng, check_int, philox
 
 SCALING_BOUND = 2.0
@@ -63,7 +63,8 @@ def _stats(samples: list[float], flops: int) -> dict:
 
 
 def bench_model(cfg: ModelConfig, H: int, W: int, repeats: int, seed: int, dtype) -> dict:
-    """Whole-model forward timing at one input geometry."""
+    """Whole-model forward timing at one input geometry (sides as `check_input_sides` admits)."""
+    check_input_sides(H, W)
     check_int(repeats, "repeats", 3)
     params = build_model(cfg, Rng(seed, dtype))
     g = philox(seed, 1)

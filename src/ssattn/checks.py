@@ -96,8 +96,8 @@ BUDGETS: dict[str, float] = {}
 
 
 def validate_tol(name: str, tol: float) -> float:
-    """A suite tolerance, or ConfigError unless it is a real number >= 0 (NaN is not)."""
-    if not (isinstance(tol, numbers.Real) and tol >= 0):
+    """A suite tolerance, or ConfigError unless it is a real number >= 0 (NaN and bools are not)."""
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and tol >= 0):
         raise ConfigError(f"tolerance for {name!r} must be >= 0, got {tol!r}")
     return tol
 

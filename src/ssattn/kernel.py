@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigError, EmptyDomainError, NumericError, ShapeError
+from .errors import ConfigError, EmptyDomainError, NumericError, ShapeError, SizeError
 from .tensor import check_float_dtypes, check_int
 
 
@@ -103,9 +103,13 @@ def clamped_lattice(center: int | np.ndarray, side: int, k: int, d: int = 1) -> 
     near borders the whole lattice shifts (step preserved) so that all
     members stay in bounds. An int center gives [k_eff] indices, an
     array of centers gives one lattice per center, [..., k_eff]. Centers
-    must be integers; side, k and d are checked as in `effective_kernel`.
+    must be integers; side, k and d are checked as in `effective_kernel`,
+    and a side past the int64 maximum is a SizeError.
     """
     k_eff = effective_kernel(k, side, d)
+    if side > np.iinfo(np.int64).max:
+        raise SizeError(f"side must be <= {np.iinfo(np.int64).max}, got {side}")
+    side, d = int(side), int(min(d, side))  # a longer step leaves k_eff = 1: the same lattice
     c = np.asarray(center)
     if c.dtype.kind not in "iu":
         raise ConfigError(f"lattice centers must be integers, got {center!r}")

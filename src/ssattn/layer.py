@@ -66,7 +66,7 @@ class S3AConfig:
             raise ConfigError(f"channels {self.channels} not divisible by heads {self.heads}")
         object.__setattr__(self, "window", _pair(self.window, "window", odd=True))
         object.__setattr__(self, "anchors", _pair(self.anchors, "anchors", odd=True))
-        if self.stride != "auto":
+        if not isinstance(self.stride, str) or self.stride != "auto":
             object.__setattr__(self, "stride", _pair(self.stride, "stride"))
 
     @property

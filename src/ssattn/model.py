@@ -47,18 +47,9 @@ from .tensor import Rng, ShapeOnly, check_float_dtypes, check_int
 NUM_STAGES = 4
 
 
-# the S3AConfig fields a model config sets for all stages or per stage
-_OVERRIDE_KEYS = {f.name for f in fields(S3AConfig)} - {"channels", "heads"}
-
-
 @dataclass(frozen=True)
 class ModelConfig:
-    """Static description of one backbone variant.
-
-    Window/anchor/stride settings apply to all stages unless a stage
-    entry in `stage_overrides` (a 4-tuple of dicts or None) replaces
-    them for that stage.
-    """
+    """One backbone variant; `window`, `anchors`, `stride` and `lce` apply to every stage."""
 
     name: str
     blocks: tuple[int, int, int, int]
@@ -71,36 +62,25 @@ class ModelConfig:
     lce: bool = True
     classes: int = 1000
     in_channels: int = 3
-    stage_overrides: tuple = (None, None, None, None)
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not isinstance(self.lce, bool):
-            raise ConfigError(f"name must be a str and lce a bool, got {self.name!r}, {self.lce!r}")
-        for field_name in ("blocks", "channels", "heads", "stage_overrides"):
+        if not isinstance(self.name, str):
+            raise ConfigError(f"name must be a str, got {self.name!r}")
+        for field_name in ("blocks", "channels", "heads"):
             value = getattr(self, field_name)
             if not isinstance(value, (tuple, list)) or len(value) != NUM_STAGES:
                 raise ConfigError(f"{field_name} must have {NUM_STAGES} entries, got {value!r}")
-            if field_name != "stage_overrides":
-                value = [check_int(v, field_name) for v in value]
-            object.__setattr__(self, field_name, tuple(value))
+            object.__setattr__(self, field_name, tuple(check_int(v, field_name) for v in value))
         for field_name in ("ffn_ratio", "classes", "in_channels"):
             object.__setattr__(self, field_name, check_int(getattr(self, field_name), field_name))
-        for ov in self.stage_overrides:
-            if ov is not None and (not isinstance(ov, dict) or set(ov) - _OVERRIDE_KEYS):
-                raise ConfigError(
-                    f"stage override must be None or a dict of {sorted(_OVERRIDE_KEYS)}, got {ov!r}"
-                )
         if any(a >= b for a, b in zip(self.channels, self.channels[1:])):
             raise ConfigError(f"channels must strictly increase, got {self.channels}")
         for i in range(NUM_STAGES):
-            self.stage_s3a(i)  # surface bad heads/window/anchors/stride now
+            self.stage_s3a(i)  # surface bad heads/window/anchors/stride/lce now
 
     def stage_s3a(self, i: int) -> S3AConfig:
         """Attention configuration of stage i (0-based)."""
-        kw = {k: getattr(self, k) for k in _OVERRIDE_KEYS}
-        if self.stage_overrides[i]:
-            kw.update(self.stage_overrides[i])
-        return S3AConfig(channels=self.channels[i], heads=self.heads[i], **kw)
+        return S3AConfig(self.channels[i], self.heads[i], self.window, self.anchors, self.stride, self.lce)
 
 
 MODEL_PRESETS: dict[str, ModelConfig] = {
@@ -293,19 +273,14 @@ def load_state(params: ModelParams, tensors: dict[str, np.ndarray]) -> None:
 def _jsonable(value):
     if isinstance(value, np.integer):  # a numpy-int window, anchor count or stride
         return int(value)
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list, np.ndarray)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
     return value
 
 
 def config_to_dict(cfg: ModelConfig) -> dict:
-    """JSON-friendly form of a configuration (tuples become lists)."""
-    d = {f.name: _jsonable(getattr(cfg, f.name)) for f in fields(cfg)}
-    if not any(cfg.stage_overrides):
-        del d["stage_overrides"]
-    return d
+    """JSON-friendly form of a configuration (tuples, lists and arrays become lists of ints)."""
+    return {f.name: _jsonable(getattr(cfg, f.name)) for f in fields(cfg)}
 
 
 def _detuple(value):

@@ -83,8 +83,8 @@ def _source_dtype(dtype) -> np.dtype:
 
 
 def _finite(value, name: str) -> float:
-    """value if it is a finite real number; else ConfigError."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+    """value if it is a finite real number, not a bool; else ConfigError."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return value
 

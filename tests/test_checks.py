@@ -27,7 +27,7 @@ def test_every_suite_rejects_bad_cases_and_tolerances_when_called_directly(name)
     for suite in (getattr(checks, f"check_{name}"), CHECKS[name]):
         for bad in (
             {"cases": 0}, {"cases": -3}, {"cases": 1.5}, {"tol": float("nan")}, {"tol": -1.0}, {"tol": "1"},
-            {"seed": 2.9}, {"seed": True}, {"seed": -1},
+            {"tol": True}, {"seed": 2.9}, {"seed": True}, {"seed": -1},
         ):
             with pytest.raises(ConfigError, match="must be "):
                 suite(**bad)

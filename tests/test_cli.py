@@ -94,6 +94,15 @@ def test_resolution_or_seed_the_model_cannot_use_is_usage_error(argv, capsys):
     assert argv[-2] in err and "Traceback" not in err
 
 
+def test_describe_of_a_config_naming_stage_overrides_fails_cleanly(tmp_path, capsys):
+    path = tmp_path / "overrides.json"
+    path.write_text(json.dumps({**config_to_dict(tiny_config()), "stage_overrides": [None, {"window": 5}, None, None]}))
+    assert main(["describe", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown config keys ['stage_overrides']" in captured.err and "Traceback" not in captured.err
+
+
 def test_describe_of_an_unaddressable_stage_is_size_error(tmp_path, capsys):
     _, path = write_tiny_config(tmp_path, channels=(8, 16, 32, 2**33))
     assert main(["describe", path]) == 1

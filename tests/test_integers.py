@@ -20,7 +20,6 @@ from ssattn.model import ModelConfig, check_input_sides, config_hash, count_flop
 from ssattn.report import ReportNode
 from ssattn.tensor import Rng, ShapeOnly, philox
 
-INT64 = (-(2**63), 2**63 - 1)
 SPEC = NeighborhoodSpec(3)
 
 
@@ -38,10 +37,19 @@ def _conv(stride=1, padding=0):
     return conv2d(np.ones((2, 6, 6)), np.ones((3, 2, 3, 3)), stride=stride, padding=padding)
 
 
-def _scaling(repeats, seed=0):
+def _untimed():
     # the timing loop is stubbed out: only argument handling is under test
-    with mock.patch.object(bench, "_time_rounds", lambda fns, n: [[1e-3] * 3 for _ in fns]):
+    return mock.patch.object(bench, "_time_rounds", lambda fns, n: [[1e-3] * 3 for _ in fns])
+
+
+def _scaling(repeats, seed=0):
+    with _untimed():
         return bench.bench_scaling(repeats=repeats, seed=seed)
+
+
+def _bench_model(H=32, W=36):
+    with _untimed():
+        return bench.bench_model(TINY, H, W, 3, 0, np.float32)
 
 
 TINY = tiny_config()
@@ -50,9 +58,9 @@ BLOCKS = dict(blocks=(1, 1, 1, 1), channels=(8, 16, 32, 64), heads=(1, 2, 4, 8))
 ENTRIES = {
     "NeighborhoodSpec.kernel": Entry(lambda v: NeighborhoodSpec(v), 3, ConfigError, -1, ConfigError),
     "NeighborhoodSpec.dilation": Entry(lambda v: NeighborhoodSpec(3, (v, 1)), 2, ConfigError, 0, ConfigError),
-    "clamped_lattice.side": Entry(lambda v: clamped_lattice(0, v, 3), 5, ConfigError, 0, EmptyDomainError, INT64),
-    "clamped_lattice.k": Entry(lambda v: clamped_lattice(0, 5, v), 3, ConfigError, -3, ConfigError, INT64),
-    "clamped_lattice.d": Entry(lambda v: clamped_lattice(0, 5, 3, v), 2, ConfigError, 0, ConfigError, INT64),
+    "clamped_lattice.side": Entry(lambda v: clamped_lattice(0, v, 3), 5, ConfigError, 0, EmptyDomainError),
+    "clamped_lattice.k": Entry(lambda v: clamped_lattice(0, 5, v), 3, ConfigError, -3, ConfigError),
+    "clamped_lattice.d": Entry(lambda v: clamped_lattice(0, 5, 3, v), 2, ConfigError, 0, ConfigError),
     "effective_kernel.k": Entry(lambda v: effective_kernel(v, 9, 1), 5, ConfigError, -1, ConfigError),
     "effective_kernel.side": Entry(lambda v: effective_kernel(3, v, 1), 9, ConfigError, -4, EmptyDomainError),
     "effective_kernel.d": Entry(lambda v: effective_kernel(3, 9, v), 2, ConfigError, 0, ConfigError),
@@ -90,6 +98,8 @@ ENTRIES = {
     "check_lattice.seed": Entry(lambda v: check_lattice(seed=v, cases=2), 4, ConfigError, -1, ConfigError),
     "bench_scaling.repeats": Entry(_scaling, 3, ConfigError, 2, ConfigError),
     "bench_scaling.seed": Entry(lambda v: _scaling(3, v), 2, ConfigError, -1, ConfigError),
+    "bench_model.H": Entry(lambda v: _bench_model(H=v), 40, ShapeError, 28, ShapeError, (None, 64)),
+    "bench_model.W": Entry(lambda v: _bench_model(W=v), 36, ShapeError, -4, ShapeError, (None, 64)),
 }
 
 NON_INTEGERS = [True, 2.5, "3", None, np.float64(3)]
@@ -147,6 +157,7 @@ def test_a_numpy_integer_gives_the_int_result(name):
     (lambda: bench.bench_scaling(repeats=3.5), ConfigError),
     (lambda: philox(1, 0.5), ConfigError),
     (lambda: check_input_sides(64.0, 64), ShapeError),
+    (lambda: bench.bench_model(TINY, 32.0, 32, 3, 0, np.float32), ShapeError),
     (lambda: S3AConfig(channels=np.int64(64), heads=2) == S3AConfig(64, 2) or None, None),
 ])
 def test_values_that_crashed_or_passed_silently_before_the_rule(call, error):
@@ -156,6 +167,17 @@ def test_values_that_crashed_or_passed_silently_before_the_rule(call, error):
         return
     with pytest.raises(error, match="must be "):
         call()
+
+
+def test_lattice_arguments_past_int64():
+    # a step longer than the side leaves one member, wherever the step ends
+    assert clamped_lattice(0, 5, 3, 2**70).tolist() == clamped_lattice(0, 5, 3, 5).tolist() == [0]
+    assert clamped_lattice(4, 5, 3, 2**64).tolist() == [4]
+    # a side past int64 would wrap around in numpy
+    with pytest.raises(SizeError, match=r"^side must be <= 9223372036854775807, got 9223372036854775813$"):
+        clamped_lattice(5, 2**63 + 5, 3, 2**62)
+    top = 2**63 - 1  # the largest side: the lattice spans it with three members
+    assert clamped_lattice(top - 1, top, 3, 2**62 - 1).tolist() == [0, 2**62 - 1, 2**63 - 2]
 
 
 def test_the_rule_has_one_message():
@@ -185,6 +207,8 @@ def test_the_counts_a_config_stores_are_plain_ints():
     mcfg = get_config("ssvit-t", classes=np.int64(10), window=np.int64(5))
     assert type(mcfg.classes) is int and mcfg == get_config("ssvit-t", classes=10, window=5)
     assert config_hash(mcfg) == config_hash(get_config("ssvit-t", classes=10, window=5))
+    for window in ([np.int64(5), 5], np.array([5, 5])):  # written as the int pair
+        assert config_hash(get_config("ssvit-t", window=window)) == config_hash(get_config("ssvit-t", window=(5, 5)))
     assert type(kernel_flops(np.int64(5), 5, 2, 4, SPEC)) is int
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import ssattn.tensor
 from ssattn.checks import tiny_config
 from ssattn.errors import (
+    ConfigError,
     DTypeError,
     FormatError,
     MagicError,
@@ -306,6 +307,15 @@ def test_model_checkpoint_extra_tensor_names_the_path(tmp_path):
     with pytest.raises(ManifestError) as err:
         load_model_checkpoint(str(path))
     assert "stage2.block1.ffn.w3" in str(err.value)
+
+
+def test_model_checkpoint_naming_stage_overrides_is_config_error(tmp_path):
+    cfg = tiny_config()
+    meta = {"config": {**config_to_dict(cfg), "stage_overrides": [None, None, None, None]}, "dtype": "f32"}
+    path = tmp_path / "overrides.ssc"
+    save_checkpoint(str(path), param_items(build_model(cfg, Rng(11))), meta=meta)
+    with pytest.raises(ConfigError, match=r"unknown config keys \['stage_overrides'\]"):
+        load_model_checkpoint(str(path))
 
 
 def test_model_checkpoint_rejects_missing_config(tmp_path):

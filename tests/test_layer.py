@@ -54,6 +54,16 @@ def test_config_normalizes_ints_to_pairs():
     assert cfg.stride == (2, 4)
 
 
+def test_sequence_geometry_is_stored_as_int_pairs():
+    # a stride array is compared with "auto" only when it is a str
+    cfg = S3AConfig(8, 2, window=[3, 3], anchors=np.array([5, 5]), stride=np.array([2, 2]))
+    assert (cfg.window, cfg.anchors, cfg.stride) == ((3, 3), (5, 5), (2, 2))
+    assert all(type(v) is int for v in cfg.stride)
+    assert cfg == S3AConfig(8, 2, anchors=5, stride=2)
+    with pytest.raises(ConfigError, match="stride must be an int or a pair"):
+        S3AConfig(8, 2, stride=np.array([2, 2, 2]))
+
+
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
         S3AConfig(channels=6, heads=4)  # not divisible

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from ssattn.checks import tiny_config
 from ssattn.errors import ConfigError, DTypeError, NumericError, ShapeError, StateError
+from ssattn.layer import S3AConfig
 from ssattn.model import (
     MODEL_PRESETS,
     ModelConfig,
@@ -97,23 +98,28 @@ def test_config_rejects_degenerate_settings():
         ModelConfig("x", **{**base, "blocks": (1, 1, 1)})  # three stages
     with pytest.raises(ConfigError):
         ModelConfig("x", **base, window=4)  # surfaced by stage probe
-    with pytest.raises(ConfigError):
-        ModelConfig("x", **base, stage_overrides=({"bogus": 1}, None, None, None))
 
 
-def test_stage_overrides_apply_per_stage():
-    cfg = tiny_config(stage_overrides=({"window": 5}, None, {"lce": False}, None))
-    assert cfg.stage_s3a(0).window == (5, 5)
-    assert cfg.stage_s3a(1).window == (3, 3)
-    assert cfg.stage_s3a(2).lce is False
-    assert cfg.stage_s3a(3).lce is True
+def test_every_stage_takes_the_one_geometry():
+    cfg = tiny_config(window=(3, 5), anchors=5, stride=2, lce=False)
+    for i in range(4):
+        assert cfg.stage_s3a(i) == S3AConfig(cfg.channels[i], cfg.heads[i], (3, 5), 5, 2, False)
+
+
+def test_a_config_naming_stage_overrides_is_refused():
+    d = config_to_dict(tiny_config())
+    assert "stage_overrides" not in d
+    for value in ([None, None, None, None], [None, {"window": 5}, None, None]):
+        with pytest.raises(ConfigError, match=r"unknown config keys \['stage_overrides'\]"):
+            config_from_dict({**d, "stage_overrides": value})
+    with pytest.raises(ConfigError, match="unknown config fields"):
+        get_config("ssvit-t", stage_overrides=(None, None, None, None))
 
 
 def test_config_dict_round_trip():
     for cfg in [
         get_config("ssvit-t"),
         tiny_config(window=(3, 5), stride=2, lce=False, classes=11),
-        tiny_config(stage_overrides=(None, {"anchors": 3}, None, None)),
     ]:
         d = config_to_dict(cfg)
         back = config_from_dict(d)
@@ -142,11 +148,6 @@ def test_config_from_dict_rejects_mistyped_fields():
         {"lce": "no"},
         {"name": 7},
         {"window": [True, 3]},
-        {"stage_overrides": [3, None, None, None]},
-        {"stage_overrides": 5},
-        {"stage_overrides": [{"lce": "no"}, None, None, None]},
-        {"stage_overrides": [None, None, {"lce": None}, None]},
-        {"stage_overrides": [None, {"lce": 0}, None, None]},
     ]
     for patch in bad:
         with pytest.raises(ConfigError):
@@ -161,7 +162,7 @@ def test_config_from_dict_rejects_deep_nesting():
         config_from_dict({**config_to_dict(tiny_config()), "blocks": deep})
 
 
-# a config field's value: JSON scalars, lists and override-shaped dicts
+# a config field's value: JSON scalars, lists and objects
 _config_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 9) | st.floats(-2.0, 9.0) | st.sampled_from(["auto", "ab", ""]),
     lambda inner: st.lists(inner, max_size=5)
@@ -292,9 +293,6 @@ def test_readme_preset_table_matches_the_counters():
 GOLDEN_FLOPS_CASES = {
     "ssvit-t": get_config("ssvit-t"),
     "tiny-alt": tiny_config(name="tiny-alt", window=1, anchors=3, stride=2, lce=False, classes=3),
-    "tiny-overrides": tiny_config(
-        name="tiny-overrides", stage_overrides=(None, None, {"lce": False, "window": 5}, None)
-    ),
 }
 
 
@@ -302,7 +300,7 @@ def test_flops_trees_match_golden_record():
     with open(Path(__file__).with_name("golden_flops.json")) as fh:
         record = json.load(fh)
     assert [(r["case"], r["H"], r["W"]) for r in record] == [
-        ("ssvit-t", 224, 224), ("ssvit-t", 160, 44), ("tiny-alt", 36, 100), ("tiny-overrides", 64, 64)
+        ("ssvit-t", 224, 224), ("ssvit-t", 160, 44), ("tiny-alt", 36, 100)
     ]
     for r in record:
         assert count_flops(GOLDEN_FLOPS_CASES[r["case"]], r["H"], r["W"]).to_dict() == r["tree"], r["case"]
@@ -345,12 +343,9 @@ def test_param_layout_and_preset_hashes_are_frozen():
     assert _layout_digest(tiny_config()) == (
         92, "eea7277eb16814e740ff3a0c4fe55aaebeb08ec5552edc4e33dec08fde9f53cd"
     )
-    alt = tiny_config(
-        name="tiny-alt", window=1, anchors=3, stride=2, lce=False, classes=3,
-        stage_overrides=(None, {"lce": True}, None, None),
-    )
+    alt = tiny_config(name="tiny-alt", window=1, anchors=3, stride=2, lce=False, classes=3)
     assert _layout_digest(alt) == (
-        86, "dbea35385cd5e319a54df11b6790465b783d8fd97f7e45c8ca208567c669eb1e"
+        84, "7f34d2966013892a55808fe77ef0896bc9340fb279fd08870f36310b86f0e42b"
     )
     hashes = {name: config_hash(cfg) for name, cfg in MODEL_PRESETS.items()}
     assert hashes == {

@@ -83,10 +83,10 @@ def test_numpy_integer_seeds_draw_the_int_seed_stream():
 
 @pytest.mark.parametrize("source", [Rng(0), ShapeOnly()], ids=["Rng", "ShapeOnly"])
 def test_sources_reject_non_finite_or_negative_settings(source):
-    for std in (-1.0, float("nan"), float("inf"), "1"):
+    for std in (-1.0, float("nan"), float("inf"), "1", True):
         with pytest.raises(ConfigError, match="std must be"):
             source.normal(3, std)
-    for value in (float("nan"), float("inf"), -float("inf"), None):
+    for value in (float("nan"), float("inf"), -float("inf"), None, True):
         with pytest.raises(ConfigError, match="value must be a finite number"):
             source.full(3, value)
     assert source.normal(3, 0.0).tolist() == [0.0] * 3
