@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numbers
 import os
+import struct
 import tempfile
 import time
 from collections.abc import Callable
@@ -567,6 +568,8 @@ def check_io(seed, cases, tol):
             "oversized": (load_tensor, blob + b"\x00" * 4, PayloadSizeError),
             # stomp bytes inside the trailing JSON manifest
             "manifest": (load_checkpoint, cblob[:-20] + b"\xff\xfe\xfd" + cblob[-17:], ManifestError),
+            # a lying blob length walks the first tensor past the manifest
+            "inflated": (load_checkpoint, cblob[:4] + struct.pack("<Q", 10**9) + cblob[12:], TruncatedPayloadError),
         }
         named = {}
         bad_path = os.path.join(tmp, "bad")
@@ -582,7 +585,7 @@ def check_io(seed, cases, tol):
                 named[label] = f"wrong error {type(exc).__name__}"
         ok &= all(named[label] == err_type.__name__ for label, (_, _, err_type) in corruptions.items())
         detail["corruption_errors"] = named
-    return ok, n_tensors + 2 + 4, None, None, detail
+    return ok, n_tensors + 2 + len(corruptions), None, None, detail
 
 
 def run_checks(

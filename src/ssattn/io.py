@@ -16,15 +16,25 @@ three keys, so a file it accepts is written back byte for byte.
 
 Both formats are platform-independent (endianness is fixed) and all
 writes are atomic: content goes to a temporary file in the same
-directory, then renames over the destination.
+directory, then renames over the destination. Both sides stream one
+tensor at a time. Writers put each header and the array's own
+little-endian buffer into that file, once everything a reader would
+refuse has raised. Readers take regular files only, whose size bounds
+every length field; one decoder, `_read_tensor`, allocates each array
+only when its payload size equals the bytes left for it, then reads the
+payload straight into it, so no buffer of the whole file exists.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
+import stat
 import struct
 import tempfile
+from contextlib import contextmanager
+from typing import BinaryIO
 
 import numpy as np
 
@@ -66,12 +76,13 @@ def _tag_of(arr: np.ndarray) -> str:
     raise FormatError(f"unsupported dtype {arr.dtype}; use one of {sorted(DTYPES)}")
 
 
-def atomic_write_bytes(path: str, blob: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+@contextmanager
+def _atomic_file(path: str):
+    """A binary temp file beside `path` that replaces it when the block ends; removed on any error."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -79,27 +90,51 @@ def atomic_write_bytes(path: str, blob: bytes) -> None:
         raise
 
 
-def tensor_to_bytes(arr: np.ndarray) -> bytes:
-    tag = _tag_of(arr)
+def atomic_write_bytes(path: str, blob: bytes) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(blob)
+
+
+def _tensor_head(arr: np.ndarray) -> bytes:
+    """Magic, header length and header of arr's SSA1 blob: everything before the payload."""
     header = json.dumps(
-        {"dtype": tag, "shape": list(arr.shape)}, separators=(",", ":")
+        {"dtype": _tag_of(arr), "shape": list(arr.shape)}, separators=(",", ":")
     ).encode()
-    payload = np.ascontiguousarray(arr).astype(_DTYPE_TAGS[tag], copy=False).tobytes()
-    return TENSOR_MAGIC + struct.pack("<I", len(header)) + header + payload
+    return TENSOR_MAGIC + struct.pack("<I", len(header)) + header
 
 
-def tensor_from_bytes(blob: bytes | memoryview) -> np.ndarray:
-    """Decode one SSA1 blob; the returned array is the only copy of its payload."""
-    blob = memoryview(blob)
-    if len(blob) < 4 or blob[:4] != TENSOR_MAGIC:
-        raise MagicError(f"bad tensor magic {bytes(blob[:4])!r}")
-    if len(blob) < 8:
+def _payload(arr: np.ndarray) -> np.ndarray:
+    """arr's scalars, C-contiguous and little-endian; a copy only if arr is not already so."""
+    return np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+
+
+def tensor_to_bytes(arr: np.ndarray) -> bytes:
+    return _tensor_head(arr) + _payload(arr).tobytes()
+
+
+def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise TruncatedPayloadError(f"{what} holds {len(data)} bytes, {n} expected")
+    return data
+
+
+def _read_tensor(fh: BinaryIO, size: int) -> np.ndarray:
+    """Decode the SSA1 blob of `size` bytes at fh's position, leaving fh just past it.
+
+    The array is allocated only once the header's payload size equals
+    what `size` leaves for it, and the payload is read straight into it.
+    """
+    magic = fh.read(min(size, 4))
+    if magic != TENSOR_MAGIC:
+        raise MagicError(f"bad tensor magic {magic!r}")
+    if size < 8:
         raise TruncatedPayloadError("tensor blob ends inside the header length field")
-    (header_len,) = struct.unpack("<I", blob[4:8])
-    if len(blob) < 8 + header_len:
+    (header_len,) = struct.unpack("<I", _read_exact(fh, 4, "tensor header length field"))
+    if size < 8 + header_len:
         raise TruncatedPayloadError("tensor header extends past end of data")
     try:
-        header = json.loads(bytes(blob[8 : 8 + header_len]))
+        header = json.loads(_read_exact(fh, header_len, "tensor header"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
         raise FormatError(f"tensor header is not valid JSON: {exc}") from None
     tag = header.get("dtype") if isinstance(header, dict) else None
@@ -114,70 +149,45 @@ def tensor_from_bytes(blob: bytes | memoryview) -> np.ndarray:
     if len(shape) > _MAX_RANK or math.prod(max(s, 1) for s in shape) * itemsize > _MAX_BYTES:
         raise FormatError(f"tensor shape {shape} exceeds numpy's array limits")
     expected = math.prod(shape) * itemsize
-    payload = blob[8 + header_len :]
-    if len(payload) < expected:
-        raise TruncatedPayloadError(
-            f"payload holds {len(payload)} bytes, header promises {expected}"
-        )
-    if len(payload) != expected:
-        raise PayloadSizeError(
-            f"payload holds {len(payload)} bytes, header promises {expected}"
-        )
-    arr = np.frombuffer(payload, dtype=_DTYPE_TAGS[tag]).reshape(shape)
-    return arr.astype(DTYPES[tag])  # fresh native-order C-contiguous copy
+    payload_len = size - 8 - header_len
+    if payload_len < expected:
+        raise TruncatedPayloadError(f"payload holds {payload_len} bytes, header promises {expected}")
+    if payload_len != expected:
+        raise PayloadSizeError(f"payload holds {payload_len} bytes, header promises {expected}")
+    arr = np.empty(shape, dtype=_DTYPE_TAGS[tag])
+    got = fh.readinto(arr.reshape(-1).view(np.uint8))
+    if got != expected:  # the data ended early: the array is never returned half-filled
+        raise TruncatedPayloadError(f"payload holds {got} bytes, header promises {expected}")
+    return arr if arr.dtype.isnative else arr.astype(DTYPES[tag])
+
+
+def tensor_from_bytes(blob: bytes) -> np.ndarray:
+    """Decode one SSA1 blob; the returned array is the only copy of its payload."""
+    return _read_tensor(io.BytesIO(blob), len(blob))
+
+
+def _regular_size(fh: BinaryIO) -> int:
+    """Byte size of an open file; FormatError unless it is a regular file, whose size is known."""
+    st = os.fstat(fh.fileno())
+    if not stat.S_ISREG(st.st_mode):
+        raise FormatError(f"{fh.name!r} is not a regular file")
+    return st.st_size
 
 
 def save_tensor(path: str, arr: np.ndarray) -> None:
-    atomic_write_bytes(path, tensor_to_bytes(arr))
+    head = _tensor_head(arr)
+    with _atomic_file(path) as fh:
+        fh.write(head)
+        fh.write(_payload(arr))
 
 
 def load_tensor(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
-        return tensor_from_bytes(fh.read())
+        return _read_tensor(fh, _regular_size(fh))
 
 
-def save_checkpoint(
-    path: str, items: list[tuple[str, np.ndarray]] | dict[str, np.ndarray],
-    meta: dict | None = None,
-) -> None:
-    if isinstance(items, dict):
-        items = list(items.items())
-    names = [name for name, _ in items]
-    if len(set(names)) != len(names):
-        raise ManifestError("duplicate parameter paths in checkpoint")
-    parts = [CHECKPOINT_MAGIC]
-    for _, arr in items:
-        blob = tensor_to_bytes(arr)
-        parts.append(struct.pack("<Q", len(blob)))
-        parts.append(blob)
-    manifest = json.dumps(
-        {"version": _MANIFEST_VERSION, "names": names, "meta": meta or {}}, separators=(",", ":")
-    ).encode()
-    parts.append(manifest)
-    parts.append(struct.pack("<Q", len(manifest)))
-    atomic_write_bytes(path, b"".join(parts))
-
-
-def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
-    with open(path, "rb") as fh:
-        blob = memoryview(fh.read())  # blobs are sliced without copying
-    if len(blob) < 4 or blob[:4] != CHECKPOINT_MAGIC:
-        raise MagicError(f"bad checkpoint magic {bytes(blob[:4])!r}")
-    if len(blob) < 12:
-        raise TruncatedPayloadError("checkpoint ends inside the manifest length field")
-    (manifest_len,) = struct.unpack("<Q", blob[-8:])
-    if manifest_len > len(blob) - 12:
-        raise ManifestError(f"manifest length {manifest_len} exceeds file size")
-    try:
-        manifest = json.loads(bytes(blob[len(blob) - 8 - manifest_len : len(blob) - 8]))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
-        raise ManifestError(f"manifest is not valid JSON: {exc}") from None
-    # only what save_checkpoint writes is read: a file loads back to its own bytes
-    if not isinstance(manifest, dict) or manifest.keys() != {"version", "names", "meta"}:
-        raise ManifestError(f"manifest keys malformed: {manifest!r:.200}")
-    if type(manifest["version"]) is not int or manifest["version"] != _MANIFEST_VERSION:
-        raise ManifestError(f"manifest version {manifest['version']!r} is not {_MANIFEST_VERSION}")
-    names, meta = manifest["names"], manifest["meta"]
+def _check_names_and_meta(names, meta) -> None:
+    """The manifest rules `load_checkpoint` applies, and `save_checkpoint` before it writes."""
     if not isinstance(names, list) or any(not isinstance(n, str) for n in names):
         raise ManifestError(f"manifest names malformed: {names!r}")
     if len(set(names)) != len(names):
@@ -185,20 +195,81 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     if not isinstance(meta, dict):
         raise ManifestError(f"manifest meta malformed: {meta!r}")
 
-    tensors: dict[str, np.ndarray] = {}
-    pos, end, count = 4, len(blob) - 8 - manifest_len, 0
-    while pos < end:
-        if end - pos < 8:
-            raise TruncatedPayloadError("checkpoint blob length prefix cut off")
-        (blob_len,) = struct.unpack("<Q", blob[pos : pos + 8])
-        pos += 8
-        if pos + blob_len > end:
-            raise TruncatedPayloadError("checkpoint blob extends past manifest")
-        if count >= len(names):
-            raise ManifestError(f"more tensor blobs than manifest names ({len(names)})")
-        tensors[names[count]] = tensor_from_bytes(blob[pos : pos + blob_len])
-        pos += blob_len
-        count += 1
+
+def save_checkpoint(
+    path: str, items: list[tuple[str, np.ndarray]] | dict[str, np.ndarray],
+    meta: dict | None = None,
+) -> None:
+    """Stream each tensor's blob, then the manifest, into a temp file renamed over `path`.
+
+    What `load_checkpoint` would refuse raises before the temp file exists.
+    """
+    try:
+        pairs = [(name, arr) for name, arr in (items.items() if isinstance(items, dict) else items)]
+    except (TypeError, ValueError):
+        raise ManifestError(f"checkpoint items must be (name, array) pairs, got {items!r:.200}") from None
+    names = [name for name, _ in pairs]
+    meta = {} if meta is None else meta
+    _check_names_and_meta(names, meta)
+    try:
+        manifest = json.dumps(
+            {"version": _MANIFEST_VERSION, "names": names, "meta": meta}, separators=(",", ":")
+        ).encode()
+    except (TypeError, ValueError, RecursionError) as exc:  # a non-JSON value, a cycle, too deep
+        raise ManifestError(f"manifest meta is not JSON: {exc}") from None
+    heads = [_tensor_head(arr) for _, arr in pairs]
+    with _atomic_file(path) as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        for head, (_, arr) in zip(heads, pairs):
+            payload = _payload(arr)
+            fh.write(struct.pack("<Q", len(head) + payload.nbytes))
+            fh.write(head)
+            fh.write(payload)
+        fh.write(manifest)
+        fh.write(struct.pack("<Q", len(manifest)))
+
+
+def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
+    with open(path, "rb") as fh:
+        size = _regular_size(fh)
+        magic = fh.read(4)
+        if magic != CHECKPOINT_MAGIC:
+            raise MagicError(f"bad checkpoint magic {magic!r}")
+        if size < 12:
+            raise TruncatedPayloadError("checkpoint ends inside the manifest length field")
+        fh.seek(size - 8)
+        (manifest_len,) = struct.unpack("<Q", _read_exact(fh, 8, "manifest length field"))
+        if manifest_len > size - 12:
+            raise ManifestError(f"manifest length {manifest_len} exceeds file size")
+        end = size - 8 - manifest_len
+        fh.seek(end)
+        try:
+            manifest = json.loads(_read_exact(fh, manifest_len, "manifest"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
+            raise ManifestError(f"manifest is not valid JSON: {exc}") from None
+        # only what save_checkpoint writes is read: a file loads back to its own bytes
+        if not isinstance(manifest, dict) or manifest.keys() != {"version", "names", "meta"}:
+            raise ManifestError(f"manifest keys malformed: {manifest!r:.200}")
+        if type(manifest["version"]) is not int or manifest["version"] != _MANIFEST_VERSION:
+            raise ManifestError(f"manifest version {manifest['version']!r} is not {_MANIFEST_VERSION}")
+        names, meta = manifest["names"], manifest["meta"]
+        _check_names_and_meta(names, meta)
+
+        tensors: dict[str, np.ndarray] = {}
+        fh.seek(4)
+        pos, count = 4, 0
+        while pos < end:
+            if end - pos < 8:
+                raise TruncatedPayloadError("checkpoint blob length prefix cut off")
+            (blob_len,) = struct.unpack("<Q", _read_exact(fh, 8, "blob length prefix"))
+            pos += 8
+            if pos + blob_len > end:
+                raise TruncatedPayloadError("checkpoint blob extends past manifest")
+            if count >= len(names):
+                raise ManifestError(f"more tensor blobs than manifest names ({len(names)})")
+            tensors[names[count]] = _read_tensor(fh, blob_len)
+            pos += blob_len
+            count += 1
     if count != len(names):
         raise ManifestError(f"manifest names {len(names)} blobs {count}: count mismatch")
     return tensors, meta

@@ -76,7 +76,12 @@ class ModelConfig:
         if any(a >= b for a, b in zip(self.channels, self.channels[1:])):
             raise ConfigError(f"channels must strictly increase, got {self.channels}")
         for i in range(NUM_STAGES):
-            self.stage_s3a(i)  # surface bad heads/window/anchors/stride/lce now
+            s3a = self.stage_s3a(i)  # surface bad heads/window/anchors/stride/lce now
+        # a list or array geometry is kept as its validated pair, so configs hash and compare;
+        # an int or "auto" stays as given, which keeps config_to_dict and config_hash unchanged
+        for field_name in ("window", "anchors", "stride"):
+            if not isinstance(getattr(self, field_name), (int, np.integer, str)):
+                object.__setattr__(self, field_name, getattr(s3a, field_name))
 
     def stage_s3a(self, i: int) -> S3AConfig:
         """Attention configuration of stage i (0-based)."""
@@ -273,13 +278,11 @@ def load_state(params: ModelParams, tensors: dict[str, np.ndarray]) -> None:
 def _jsonable(value):
     if isinstance(value, np.integer):  # a numpy-int window, anchor count or stride
         return int(value)
-    if isinstance(value, (tuple, list, np.ndarray)):
-        return [_jsonable(v) for v in value]
-    return value
+    return list(value) if isinstance(value, tuple) else value  # tuples hold plain ints
 
 
 def config_to_dict(cfg: ModelConfig) -> dict:
-    """JSON-friendly form of a configuration (tuples, lists and arrays become lists of ints)."""
+    """JSON-friendly form of a configuration (tuples become lists, numpy ints become ints)."""
     return {f.name: _jsonable(getattr(cfg, f.name)) for f in fields(cfg)}
 
 

@@ -151,6 +151,7 @@ def test_criterion_8_format_round_trip():
         "truncated": "TruncatedPayloadError",
         "oversized": "PayloadSizeError",
         "manifest": "ManifestError",
+        "inflated": "TruncatedPayloadError",
     }
     record(
         8,

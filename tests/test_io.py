@@ -1,7 +1,9 @@
 """Binary tensor files and checkpoints: round trips, corruption taxonomy."""
+import io
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from ssattn.errors import (
 from ssattn.io import (
     CHECKPOINT_MAGIC,
     TENSOR_MAGIC,
+    _read_tensor,
     atomic_write_bytes,
     load_checkpoint,
     load_model_checkpoint,
@@ -93,6 +96,14 @@ def test_tensor_rejects_truncation():
         tensor_from_bytes(blob[:-1])
     with pytest.raises(TruncatedPayloadError):
         tensor_from_bytes(blob[:6])  # inside the header length field
+    with pytest.raises(TruncatedPayloadError):  # the data ends before the size it was given
+        _read_tensor(io.BytesIO(blob[:-3]), len(blob))
+
+
+def test_only_regular_files_are_read():
+    for loader in (load_tensor, load_checkpoint):
+        with pytest.raises(FormatError, match="not a regular file"):
+            loader(os.devnull)
 
 
 def test_tensor_header_payload_disagreement():
@@ -172,6 +183,44 @@ def test_checkpoint_rejects_duplicate_names(tmp_path):
     arr = np.zeros(2, dtype=np.float32)
     with pytest.raises(ManifestError):
         save_checkpoint(str(tmp_path / "d.ssc"), [("a", arr), ("a", arr)])
+
+
+def test_checkpoint_file_is_its_blobs_then_its_manifest(tmp_path):
+    g = gen(113)
+    items = [
+        ("alpha", g.normal(size=(3, 4)).astype(np.float32)),
+        ("beta", g.normal(size=(5, 2)).T),
+        ("gamma", np.float32(1.5)),
+        ("delta", np.zeros((0, 2))),
+    ]
+    path = tmp_path / "c.ssc"
+    save_checkpoint(str(path), items, meta={"note": "x"})
+    manifest = json.dumps(
+        {"version": 1, "names": [n for n, _ in items], "meta": {"note": "x"}}, separators=(",", ":")
+    ).encode()
+    blobs = b"".join(struct.pack("<Q", len(tensor_to_bytes(a))) + tensor_to_bytes(a) for _, a in items)
+    assert path.read_bytes() == CHECKPOINT_MAGIC + blobs + manifest + struct.pack("<Q", len(manifest))
+    save_tensor(str(tmp_path / "t.ssa"), items[1][1])
+    assert (tmp_path / "t.ssa").read_bytes() == tensor_to_bytes(items[1][1])
+
+
+_ARR = np.arange(6, dtype=np.float32)
+
+
+@pytest.mark.parametrize(
+    "items, meta, match",
+    [
+        ({1: _ARR}, None, r"manifest names malformed: \[1\]"),
+        ([("a", _ARR)], [1], r"manifest meta malformed: \[1\]"),
+        ([("a", _ARR)], {"x": np.float32(1)}, "manifest meta is not JSON"),
+        ([_ARR], None, r"checkpoint items must be \(name, array\) pairs"),
+    ],
+    ids=["int-name", "list-meta", "numpy-meta", "bare-array"],
+)
+def test_checkpoint_writer_refuses_what_the_reader_refuses(tmp_path, items, meta, match):
+    with pytest.raises(ManifestError, match=match):
+        save_checkpoint(str(tmp_path / "c.ssc"), items, meta=meta)
+    assert os.listdir(tmp_path) == []  # neither the file nor a temporary
 
 
 def test_checkpoint_corruptions_raise_named_errors(tmp_path):
@@ -257,6 +306,25 @@ def test_loaded_tensors_own_their_data(tmp_path):
         assert arr.dtype.isnative
         assert arr.flags.c_contiguous and arr.flags.writeable and arr.flags.owndata
         assert arr.base is None
+
+
+def test_checkpoint_io_holds_no_second_copy_of_the_file(tmp_path):
+    cfg = tiny_config(channels=(32, 64, 128, 256))
+    params = build_model(cfg, Rng(14))
+    path = tmp_path / "m.ssc"
+    tracemalloc.start()
+    try:
+        save_model_checkpoint(str(path), cfg, params)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        load_checkpoint(str(path))
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 4 * 2**20
+    assert save_peak <= 2**20  # each blob is streamed from its array, not joined in memory
+    assert load_peak <= size + 2**20  # each payload is read into its array, not via a file buffer
 
 
 def test_model_checkpoint_load_draws_nothing(tmp_path, monkeypatch):
@@ -401,18 +469,24 @@ def _tensor_header_end(blob):
 
 @settings(derandomize=True, database=None, max_examples=500, deadline=None)
 @given(base=st.sampled_from(range(len(_BASE_TENSORS))), mutation=_mutations)
-def test_mutated_tensor_blobs_round_trip_or_raise_named_errors(base, mutation):
+def test_mutated_tensor_blobs_round_trip_or_raise_named_errors(tmp_path_factory, base, mutation):
     arr = _BASE_TENSORS[base]
     blob = tensor_to_bytes(arr)
     if mutation[0] == "edit":
         blob = _compact_header_blob(*mutation[1:], arr.astype(arr.dtype.newbyteorder("<")).tobytes())
     else:
         blob = _mutate(blob, mutation, _tensor_header_end(blob), _tensor_header_end(blob))
+    path = tmp_path_factory.mktemp("mutated") / "t.ssa"
+    path.write_bytes(blob)  # a file and its bytes decode alike
     try:
         back = tensor_from_bytes(blob)
-    except SSAttnError:
+    except SSAttnError as exc:
+        with pytest.raises(SSAttnError) as err:
+            load_tensor(str(path))
+        assert type(err.value) is type(exc)
         return
     assert tensor_to_bytes(back) == blob
+    assert tensor_to_bytes(load_tensor(str(path))) == blob
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)

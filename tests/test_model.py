@@ -197,6 +197,16 @@ def test_config_hash_separates_configs():
     assert a == config_hash(get_config("ssvit-t"))
 
 
+def test_sequence_geometries_hash_and_compare():
+    pair = get_config("ssvit-t", stride=(2, 2))
+    for cfg in (get_config("ssvit-t", stride=np.array([2, 2])), get_config("ssvit-t", stride=[2, np.int64(2)])):
+        assert cfg == pair and hash(cfg) == hash(pair)
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert config_hash(cfg) == config_hash(pair)
+    assert hash(get_config("ssvit-t", window=[3, 3])) == hash(get_config("ssvit-t", window=(3, 3)))
+    assert get_config("ssvit-t", anchors=np.int64(7)).anchors == 7  # an int is kept as given
+
+
 # ---------------------------------------------------------------------------
 # counters
 
