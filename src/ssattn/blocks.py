@@ -14,7 +14,8 @@ folds its batch-normalization into per-channel scale/shift pairs, so
 inference needs no running statistics.
 
 GELU is x * Phi(x) with the exact normal CDF, never the tanh
-approximation. float64 evaluates scipy's erf. float32 evaluates a
+approximation. float64 evaluates scipy's erf, importing scipy.special
+on its first call, so a float32 process never loads it. float32 evaluates a
 rational erf in float32, in place over cache-sized chunks; below x = -1
 it switches to an erfc form, so the negative tail keeps its relative
 accuracy instead of cancelling in 1 + erf. Its written bound, against
@@ -27,9 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .layer import (
     INIT_STD,
     S3AConfig,
@@ -82,6 +82,8 @@ def gelu(x: np.ndarray) -> np.ndarray:
     check_float_dtypes("gelu", x=x)
     if x.dtype == F32:
         return _gelu_f32(x)
+    from scipy.special import erf  # only float64 needs it
+
     return 0.5 * x * (1.0 + erf(x / x.dtype.type(_SQRT2)))
 
 
@@ -132,14 +134,26 @@ def _phi_tail(x: np.ndarray) -> np.ndarray:
 
 
 def layernorm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Normalize each spatial site over the channel axis of a [C, H, W] map."""
+    """Normalize each spatial site over the channel axis of a [C, H, W] map.
+
+    One fresh array, x minus its site means, is normalized, scaled and
+    shifted in place. A variance that is not finite (in float32, once
+    |x| passes about 1.8e19 the squares overflow) raises NumericError
+    rather than returning the shift.
+    """
     check_float_dtypes("layernorm", x=x, scale=scale, shift=shift)
     if x.ndim != 3 or scale.shape != (x.shape[0],) or shift.shape != (x.shape[0],):
         raise ShapeError(f"layernorm shapes: x {x.shape}, scale {scale.shape}, shift {shift.shape}")
-    mean = x.mean(axis=0, keepdims=True)
-    var = x.var(axis=0, keepdims=True)
-    y = (x - mean) / np.sqrt(var + x.dtype.type(LN_EPS))
-    return y * scale[:, None, None] + shift[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        d = x - x.mean(axis=0)
+        var = np.einsum("chw,chw->hw", d, d) / x.shape[0]
+    if not np.isfinite(var).all():
+        raise NumericError("layernorm: the variance over channels is not finite")
+    var += x.dtype.type(LN_EPS)
+    d /= np.sqrt(var)
+    d *= scale[:, None, None]
+    d += shift[:, None, None]
+    return d
 
 
 def conv2d(
@@ -303,8 +317,11 @@ def cpe_forward(x: np.ndarray, p: CpeParams) -> np.ndarray:
 def ffn_forward(x: np.ndarray, p: FfnParams) -> np.ndarray:
     check_float_dtypes("ffn_forward", x=x, **vars(p))
     C, H, W = x.shape
-    h = gelu(p.w1 @ x.reshape(C, H * W) + p.b1[:, None])
-    return (p.w2 @ h + p.b2[:, None]).reshape(-1, H, W)
+    h = p.w1 @ x.reshape(C, H * W)
+    h += p.b1[:, None]
+    out = p.w2 @ gelu(h)
+    out += p.b2[:, None]
+    return out.reshape(-1, H, W)
 
 
 def ssvit_block(x: np.ndarray, p: BlockParams, cfg: S3AConfig) -> np.ndarray:
@@ -321,8 +338,8 @@ def stem_forward(x: np.ndarray, p: StemParams) -> np.ndarray:
         f"convs[{i}].{name}": getattr(conv, name)
         for i, conv in enumerate(p.convs) for name in ("bn_scale", "bn_shift")})
     for conv, s in zip(p.convs, STEM_STRIDES):
-        x = conv2d(x, conv.w, b=None, stride=s, padding=1)
-        x = x * conv.bn_scale[:, None, None] + conv.bn_shift[:, None, None]
+        x = conv2d(x, conv.w, b=None, stride=s, padding=1) * conv.bn_scale[:, None, None]
+        x += conv.bn_shift[:, None, None]
         x = gelu(x)
     return x
 

@@ -166,12 +166,22 @@ def tensor_from_bytes(blob: bytes) -> np.ndarray:
     return _read_tensor(io.BytesIO(blob), len(blob))
 
 
-def _regular_size(fh: BinaryIO) -> int:
-    """Byte size of an open file; FormatError unless it is a regular file, whose size is known."""
-    st = os.fstat(fh.fileno())
-    if not stat.S_ISREG(st.st_mode):
-        raise FormatError(f"{fh.name!r} is not a regular file")
-    return st.st_size
+@contextmanager
+def _regular_file(path: str):
+    """(file, byte size) of `path` opened for reading; FormatError unless it is a regular file.
+
+    A directory or device is a FormatError; a missing or unreadable path
+    stays the OSError that `open` raises.
+    """
+    try:
+        fh = open(path, "rb")
+    except IsADirectoryError:
+        raise FormatError(f"{path!r} is not a regular file") from None
+    with fh:
+        st = os.fstat(fh.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise FormatError(f"{path!r} is not a regular file")
+        yield fh, st.st_size
 
 
 def save_tensor(path: str, arr: np.ndarray) -> None:
@@ -182,8 +192,8 @@ def save_tensor(path: str, arr: np.ndarray) -> None:
 
 
 def load_tensor(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        return _read_tensor(fh, _regular_size(fh))
+    with _regular_file(path) as (fh, size):
+        return _read_tensor(fh, size)
 
 
 def _check_names_and_meta(names, meta) -> None:
@@ -230,8 +240,7 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
-    with open(path, "rb") as fh:
-        size = _regular_size(fh)
+    with _regular_file(path) as (fh, size):
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise MagicError(f"bad checkpoint magic {magic!r}")

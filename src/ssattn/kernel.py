@@ -34,7 +34,8 @@ per query of the interior class (1, 1) on the local window.
 The two transposed products, grad_k = D.T @ q and grad_v = A.T @ g,
 scatter onto keys, and the key sets of neighbouring rectangles overlap.
 They stay one CSR matrix per call with n entries per row,
-block-diagonal over heads.
+block-diagonal over heads; scipy.sparse is imported on the first
+backward, so a forward-only process never loads it.
 
 None of this index work depends on the data, only on (H, W, spec). A
 geometry's plan (its index map, run classes with their key sets and,
@@ -51,7 +52,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigError, EmptyDomainError, NumericError, ShapeError, SizeError
 from .tensor import check_float_dtypes, check_int
@@ -283,6 +283,8 @@ def _sweep_matrix(weights: np.ndarray, plan: _Plan) -> sparse.csr_array:
     transpose scatters onto keys/values, border duplicates summed. Only
     the data array is new; the column pattern is the plan's.
     """
+    from scipy import sparse  # only the backward needs it
+
     indices, indptr = plan.sweep_pattern(weights.shape[0])
     size = len(indptr) - 1
     return sparse.csr_array((weights.reshape(-1), indices, indptr), shape=(size, size))
@@ -310,13 +312,20 @@ def neighborhood_scores(q: np.ndarray, k: np.ndarray, spec: NeighborhoodSpec) ->
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
     """Numerically stable softmax along the last axis.
 
-    A row holding NaN or +Inf, or only -Inf, has a non-finite sum and
-    raises NumericError.
+    The row maxima are a running maximum over the last axis's planes:
+    exact, and far faster than a reduction over rows of 9 or 49. A row
+    holding NaN or +Inf, or only -Inf, has a non-finite sum and raises
+    NumericError.
     """
     check_float_dtypes("softmax_rows", scores=scores)
+    if scores.ndim == 0 or scores.shape[-1] == 0:
+        raise ShapeError(f"softmax_rows needs rows of at least one score, got shape {scores.shape}")
+    top = scores[..., 0].copy()
+    for t in range(1, scores.shape[-1]):
+        np.maximum(top, scores[..., t], out=top)
     with np.errstate(invalid="ignore"):  # inf - inf: caught by the row sums
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+        e = scores - top[..., None]
+    np.exp(e, out=e)
     sums = e.sum(axis=-1, keepdims=True)
     if not np.isfinite(sums).all():
         raise NumericError("softmax over NaN or Inf scores")

@@ -239,12 +239,14 @@ def s3a_forward(
     heads = cfg.heads
 
     xf = x.reshape(C, H * W)
-    qkv = params.w_qkv @ xf + params.b_qkv[:, None]
+    qkv = params.w_qkv @ xf
+    qkv += params.b_qkv[:, None]
     q, k, v = qkv[:C], qkv[C : 2 * C], qkv[2 * C :]
-    k_scaled = k * x.dtype.type(cfg.head_dim**-0.5)
 
-    qh = _split_heads(q, heads, H, W)
-    kh = _split_heads(k_scaled, heads, H, W)
+    # heads-contiguous once here, so neither sweep copies q or k again
+    qh = np.ascontiguousarray(_split_heads(q, heads, H, W))
+    kh = np.ascontiguousarray(_split_heads(k, heads, H, W))
+    kh *= x.dtype.type(cfg.head_dim**-0.5)
     vh = _split_heads(v, heads, H, W)
 
     spec1 = NeighborhoodSpec(cfg.window)
@@ -254,10 +256,10 @@ def s3a_forward(
     out2, saved2 = kernel_forward(qh, kh, out1, spec2)
 
     attn_out = _merge_heads(out2)
-    out = params.w_out @ attn_out + params.b_out[:, None]
+    out = params.w_out @ attn_out
+    out += params.b_out[:, None]
     if cfg.lce:
-        lce = depthwise_forward(v.reshape(C, H, W), params.lce_filt, params.lce_bias)
-        out = out + lce.reshape(C, H * W)
+        out += depthwise_forward(v.reshape(C, H, W), params.lce_filt, params.lce_bias).reshape(C, H * W)
 
     saved = S3ASaved(
         cfg=cfg, x=x, qkv=qkv, attn_out=attn_out,

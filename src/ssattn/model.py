@@ -130,6 +130,13 @@ def build_model(cfg: ModelConfig, rng: Rng | ShapeOnly) -> ModelParams:
     return ModelParams(stem=stem, stages=stages, downsamples=downsamples, head=head)
 
 
+def _check_type(where: str, **args: tuple[object, type]) -> None:
+    """ConfigError naming the expected type unless each value is an instance of its type."""
+    for name, (value, kind) in args.items():
+        if not isinstance(value, kind):
+            raise ConfigError(f"{where}: {name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def check_input_sides(H: int, W: int) -> None:
     """Reject an input geometry the backbone cannot run.
 
@@ -144,8 +151,10 @@ def model_forward(x: np.ndarray, params: ModelParams, cfg: ModelConfig) -> np.nd
     """Classify one [in_channels, H, W] image; returns [classes] logits.
 
     The sides must pass `check_input_sides`. The image must be finite
-    and have the parameters' dtype; it is never cast.
+    and have the parameters' dtype; it is never cast. A `params` or `cfg`
+    of another type is a ConfigError.
     """
+    _check_type("model_forward", params=(params, ModelParams), cfg=(cfg, ModelConfig))
     check_float_dtypes("model_forward", weights=params.head.w,
                        **{"input image": x, "head bias": params.head.b})
     if x.ndim != 3 or x.shape[0] != cfg.in_channels:
@@ -186,9 +195,10 @@ def count_flops(cfg: ModelConfig, H: int, W: int) -> ReportNode:
 
     Every layer's weights cost `weight_macs` at its output sites, and each
     block adds its S3A layer's two sweeps. Sides ceil-halve at every
-    stride-2 convolution; the head runs at one site. H and W must be
-    ints >= 1, else ConfigError.
+    stride-2 convolution; the head runs at one site. cfg must be a
+    ModelConfig and H and W ints >= 1, else ConfigError.
     """
+    _check_type("count_flops", cfg=(cfg, ModelConfig))
     H, W = check_int(H, "H"), check_int(W, "W")
     params = build_model(cfg, ShapeOnly())
 

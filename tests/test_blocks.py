@@ -25,7 +25,7 @@ from ssattn.blocks import (
     ssvit_block,
     stem_forward,
 )
-from ssattn.errors import ConfigError, DTypeError, ShapeError
+from ssattn.errors import ConfigError, DTypeError, NumericError, ShapeError
 from ssattn.layer import S3AConfig, S3AParams, depthwise_forward
 from ssattn.oracle import oracle_s3a
 from ssattn.tensor import Rng, ShapeOnly
@@ -145,6 +145,21 @@ def test_layernorm_rejects_mixed_or_non_float_operands():
         layernorm(x, np.ones(4, dtype=np.float32), np.zeros(4))
     with pytest.raises(DTypeError, match="^layernorm: x has non-floating dtype int64$"):
         layernorm(x.astype(np.int64), np.ones(4, dtype=np.int64), np.zeros(4, dtype=np.int64))
+
+
+def test_layernorm_raises_where_the_variance_overflows():
+    g = gen(82)
+    x = g.normal(size=(8, 5, 6)).astype(np.float32)
+    scale, shift = g.normal(size=8).astype(np.float32), g.normal(size=8).astype(np.float32)
+    want = layernorm(x, scale, shift)
+    # float32 squares stay finite up to |x| ~ 1.8e19; the result is scale-free up to there
+    assert np.abs(layernorm(x * np.float32(1e18), scale, shift) - want).max() < 1e-5
+    for big in (1e20, 1e30):  # the squares overflow: once every site read exactly `shift`
+        with pytest.raises(NumericError, match="^layernorm: the variance over channels is not finite$"):
+            layernorm(x * np.float32(big), scale, shift)
+    x[3, 2, 1] = np.nan
+    with pytest.raises(NumericError, match="^layernorm: "):
+        layernorm(x, scale, shift)
 
 
 def test_layernorm_shape_guards():

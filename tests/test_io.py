@@ -106,6 +106,14 @@ def test_only_regular_files_are_read():
             loader(os.devnull)
 
 
+def test_a_directory_is_a_format_error_and_a_missing_path_an_os_error(tmp_path):
+    for loader in (load_tensor, load_checkpoint, load_model_checkpoint):
+        with pytest.raises(FormatError, match="not a regular file"):
+            loader(str(tmp_path))
+        with pytest.raises(FileNotFoundError):
+            loader(str(tmp_path / "missing"))
+
+
 def test_tensor_header_payload_disagreement():
     four = np.arange(4, dtype=np.float32).tobytes()
     three = np.arange(3, dtype=np.float32).tobytes()

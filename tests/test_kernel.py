@@ -205,6 +205,12 @@ def test_softmax_rejects_nan():
             softmax_rows(np.array([[1.0, 2.0], bad]))
 
 
+def test_softmax_needs_rows_of_at_least_one_score():
+    for bad in (np.zeros((2, 0)), np.ones(())):
+        with pytest.raises(ShapeError, match="^softmax_rows needs rows of at least one score"):
+            softmax_rows(bad)
+
+
 def test_softmax_keeps_rows_with_some_minus_inf():
     got = softmax_rows(np.array([[0.0, -np.inf, 0.0]]))
     assert np.array_equal(got, [[0.5, 0.0, 0.5]])

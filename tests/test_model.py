@@ -2,7 +2,10 @@
 import gc
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -11,9 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ssattn
+from ssattn import blocks, kernel, layer
+from ssattn import model as model_module
+from ssattn.blocks import gelu
 from ssattn.checks import tiny_config
 from ssattn.errors import ConfigError, DTypeError, NumericError, ShapeError, StateError
-from ssattn.layer import S3AConfig
+from ssattn.layer import S3AConfig, init_s3a_params, s3a_backward, s3a_forward
 from ssattn.model import (
     MODEL_PRESETS,
     ModelConfig,
@@ -28,7 +35,7 @@ from ssattn.model import (
     model_forward,
     param_items,
 )
-from ssattn.tensor import Rng, ShapeOnly
+from ssattn.tensor import F64, Rng, ShapeOnly
 
 PARAM_TARGETS = {
     "ssvit-t": 15e6,
@@ -437,6 +444,112 @@ def test_forward_is_deterministic():
     a = model_forward(x, params, cfg)
     b = model_forward(x, params, cfg)
     assert a.tobytes() == b.tobytes()
+
+
+def test_entry_points_name_the_type_they_expected():
+    cfg = tiny_config()
+    x = np.zeros((3, 32, 32), dtype=np.float32)
+    with pytest.raises(ConfigError, match="^model_forward: params must be a ModelParams, got NoneType$"):
+        model_forward(x, None, cfg)
+    with pytest.raises(ConfigError, match="^model_forward: cfg must be a ModelConfig, got str$"):
+        model_forward(x, build_model(cfg, Rng(1)), "ssvit-t")
+    with pytest.raises(ConfigError, match="^count_flops: cfg must be a ModelConfig, got str$"):
+        count_flops("ssvit-t", 224, 224)
+
+
+def test_forward_of_a_huge_image_raises_rather_than_return_shifts():
+    # the ssvit-t widths of the small config: once, a constant 1e30 image gave logits [0, 0, 0]
+    cfg = get_config("ssvit-t", blocks=(1, 1, 1, 1), channels=(8, 16, 32, 64), classes=3)
+    params = build_model(cfg, Rng(1))
+    with pytest.raises(NumericError, match="^layernorm: "):
+        model_forward(np.full((3, 32, 32), 1e30, dtype=np.float32), params, cfg)
+
+
+# Every public function the forward reaches through a module attribute,
+# in the module whose namespace it is looked up in.
+FORWARD_CALLEES = [
+    (model_module, "stem_forward"), (model_module, "ssvit_block"),
+    (model_module, "downsample_forward"), (model_module, "layernorm"),
+    (blocks, "conv2d"), (blocks, "gelu"), (blocks, "layernorm"), (blocks, "depthwise_forward"),
+    (blocks, "cpe_forward"), (blocks, "ffn_forward"), (blocks, "s3a_forward"),
+    (layer, "kernel_forward"), (layer, "depthwise_forward"),
+    (kernel, "neighborhood_scores"), (kernel, "softmax_rows"), (kernel, "neighborhood_aggregate"),
+]
+
+
+def test_forward_leaves_every_returned_array_untouched(monkeypatch):
+    """No stage updates in place an array that a public function returned:
+    a caller (a tracer, a check's capture wrapper) may still hold it."""
+    returned = []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            for a in result if isinstance(result, tuple) else (result,):
+                if isinstance(a, np.ndarray):
+                    returned.append((name, a, hashlib.sha256(a.tobytes()).hexdigest()))
+            return result
+        return wrapped
+
+    for module, name in FORWARD_CALLEES:
+        monkeypatch.setattr(module, name, recording(f"{module.__name__}.{name}", getattr(module, name)))
+    cfg = tiny_config()
+    x = gen(104).normal(size=(3, 32, 48)).astype(np.float32)
+    model_forward(x, build_model(cfg, Rng(1)), cfg)
+    assert {name for name, _, _ in returned} == {f"{m.__name__}.{n}" for m, n in FORWARD_CALLEES}
+    changed = {name for name, a, digest in returned if hashlib.sha256(a.tobytes()).hexdigest() != digest}
+    assert not changed
+
+
+_FOOTPRINT = """
+import hashlib, json, sys
+import numpy as np
+import ssattn
+from ssattn.checks import tiny_config
+from ssattn.tensor import F64, Rng
+
+LAZY = ("scipy.special", "scipy.sparse")
+def loaded():
+    return [m for m in LAZY if m in sys.modules]
+def digest(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+cfg = tiny_config()
+x = np.random.default_rng(7).standard_normal((3, 32, 48), dtype=np.float32)
+logits = ssattn.model_forward(x, ssattn.build_model(cfg, Rng(1)), cfg)
+out = {"after_f32_forward": loaded(), "logits": digest(logits)}
+out["gelu_f64"] = digest(ssattn.gelu(np.linspace(-6.0, 6.0, 97)))
+lc = ssattn.S3AConfig(channels=8, heads=2)
+v = np.random.default_rng(8).standard_normal((8, 9, 10))
+y, saved = ssattn.s3a_forward(v, ssattn.init_s3a_params(lc, Rng(2, F64)), lc)
+grads = ssattn.s3a_backward(v, saved)
+out["grads"] = digest(*(grads[k] for k in sorted(grads)))
+out["after_backward"] = loaded()
+print(json.dumps(out))
+"""
+
+
+def test_a_float32_forward_loads_neither_scipy_special_nor_scipy_sparse():
+    src = str(Path(ssattn.__file__).resolve().parents[1])
+    env_path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    run = subprocess.run([sys.executable, "-c", _FOOTPRINT], capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": env_path}, check=True)
+    got = json.loads(run.stdout)
+    assert got["after_f32_forward"] == []
+    assert got["after_backward"] == ["scipy.special", "scipy.sparse"]
+
+    # the same results as in this process, where both modules were imported up front
+    def digest(*arrays):
+        return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+    cfg = tiny_config()
+    x = np.random.default_rng(7).standard_normal((3, 32, 48), dtype=np.float32)
+    assert got["logits"] == digest(model_forward(x, build_model(cfg, Rng(1)), cfg))
+    assert got["gelu_f64"] == digest(gelu(np.linspace(-6.0, 6.0, 97)))
+    lc = S3AConfig(channels=8, heads=2)
+    v = np.random.default_rng(8).standard_normal((8, 9, 10))
+    grads = s3a_backward(v, s3a_forward(v, init_s3a_params(lc, Rng(2, F64)), lc)[1])
+    assert got["grads"] == digest(*(grads[k] for k in sorted(grads)))
 
 
 # ---------------------------------------------------------------------------
