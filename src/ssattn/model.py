@@ -7,14 +7,12 @@ linear). Channel width doubles roughly per stage; every stage uses the
 same window/anchor geometry, with the anchor stride resolved per axis
 from the stage's own feature-map size when left on `auto`.
 
-`count_params` reads its tally off the tree `build_model` builds from
-`ShapeOnly`, which draws and allocates nothing, so the init functions
-are the one parameter schema. `count_flops` walks the same tree with
-the feature-map sides: every weight tensor (two or more axes) costs its
-size at each output site of its layer, and each S3A layer adds its two
-closed-form attention sweeps. Multiply-accumulates use the 1 MAC =
-1 FLOP convention and exclude softmax, GELU, normalization, and bias
-adds.
+`_walk` steps through a parameter tree by `count_flops` path (stem,
+stageN.blockM, downsampleN, head): `model_forward` runs the steps,
+`count_flops` costs them (1 MAC = 1 FLOP; softmax, GELU, normalization
+and bias adds are free) and `param_items` lists their tensors.
+`count_params` tallies the undrawn `ShapeOnly` tree, so the init
+functions are the one parameter schema.
 """
 from __future__ import annotations
 
@@ -147,12 +145,51 @@ def check_input_sides(H: int, W: int) -> None:
         raise ShapeError(f"input sides must be >= 32 and divisible by 4, got {H}x{W}")
 
 
+def _walk(cfg: ModelConfig | None, params: ModelParams, H: int, W: int):
+    """The forward pass on an H x W image: (path, parts, s3a, h, w, run) per count_flops path.
+
+    `parts` holds (slot prefix, node, output sites) per weighted layer and
+    `s3a` a block's attention; (h, w), the output sides, ceil-halve at each
+    stride-2 convolution, so an undrawn tree walks at any H, W >= 1. `run`
+    looks this module's layer functions up when it maps the previous output.
+    A tree cfg does not describe is a StateError naming the part, or for the
+    head a ShapeError; a cfg of None only lists the tree's steps.
+    """
+    convs, stages, downs, head = params.stem.convs, params.stages, params.downsamples, params.head
+    counts = [("stem convolutions", len(convs), len(STEM_STRIDES)), ("stages", len(stages), NUM_STAGES),
+              ("downsamples", len(downs), NUM_STAGES - 1)]
+    if cfg is not None:
+        counts += [(f"stage{i} blocks", len(b), n) for i, (b, n) in enumerate(zip(stages, cfg.blocks), 1)]
+    for what, have, want in counts:
+        if have != want:
+            raise StateError(f"{what}: {have} in the parameters, {want} in the model")
+    if cfg is not None and head.w.shape[0] != cfg.classes:
+        raise ShapeError(f"head: w has {head.w.shape[0]} rows for {cfg.classes} classes")
+    h, w, stem = H, W, []
+    for i, (conv, s) in enumerate(zip(convs, STEM_STRIDES), start=1):
+        h, w = -(-h // s), -(-w // s)
+        stem.append((f"stem.conv{i}", conv, h * w))
+    yield "stem", stem, None, h, w, lambda y: stem_forward(y, params.stem)
+    for i, blocks in enumerate(stages, start=1):
+        s3a = None if cfg is None else cfg.stage_s3a(i - 1)
+        for b, bp in enumerate(blocks, start=1):
+            path = f"stage{i}.block{b}"
+            yield path, [(path, bp, h * w)], s3a, h, w, lambda y, bp=bp, s3a=s3a: ssvit_block(y, bp, s3a)
+        if i < NUM_STAGES:
+            h, w, dp, path = -(-h // 2), -(-w // 2), downs[i - 1], f"downsample{i}"
+            yield path, [(path, dp, h * w)], None, h, w, lambda y, dp=dp: downsample_forward(y, dp)
+    yield ("head", [("head", head, 1)], None, 1, 1,
+           lambda y: head.w @ layernorm(y, head.ln.scale, head.ln.shift).mean(axis=(1, 2)) + head.b)
+
+
 def model_forward(x: np.ndarray, params: ModelParams, cfg: ModelConfig) -> np.ndarray:
     """Classify one [in_channels, H, W] image; returns [classes] logits.
 
     The sides must pass `check_input_sides`. The image must be finite
     and have the parameters' dtype; it is never cast. A `params` or `cfg`
-    of another type is a ConfigError.
+    of another type is a ConfigError, a tree cfg does not describe a
+    StateError or ShapeError. A NaN or Inf in a step's output, or a
+    NumericError inside it, is a NumericError prefixed with the path.
     """
     _check_type("model_forward", params=(params, ModelParams), cfg=(cfg, ModelConfig))
     check_float_dtypes("model_forward", weights=params.head.w,
@@ -162,16 +199,14 @@ def model_forward(x: np.ndarray, params: ModelParams, cfg: ModelConfig) -> np.nd
     check_input_sides(x.shape[1], x.shape[2])
     if not np.isfinite(x).all():
         raise NumericError("input image contains NaN or Inf")
-    y = stem_forward(x, params.stem)
-    for i in range(NUM_STAGES):
-        scfg = cfg.stage_s3a(i)
-        for bp in params.stages[i]:
-            y = ssvit_block(y, bp, scfg)
-        if i < NUM_STAGES - 1:
-            y = downsample_forward(y, params.downsamples[i])
-    y = layernorm(y, params.head.ln.scale, params.head.ln.shift)
-    pooled = y.mean(axis=(1, 2))
-    return params.head.w @ pooled + params.head.b
+    for path, *_, run in _walk(cfg, params, x.shape[1], x.shape[2]):
+        try:
+            x = run(x)
+        except NumericError as exc:
+            raise NumericError(f"{path}: {exc}") from exc
+        if not np.isfinite(x).all():
+            raise NumericError(f"{path}: the output holds NaN or Inf")
+    return x
 
 
 def count_params(cfg: ModelConfig) -> ReportNode:
@@ -194,32 +229,20 @@ def count_flops(cfg: ModelConfig, H: int, W: int) -> ReportNode:
     """Multiply-accumulate tally of one forward pass, read off the undrawn model.
 
     Every layer's weights cost `weight_macs` at its output sites, and each
-    block adds its S3A layer's two sweeps. Sides ceil-halve at every
-    stride-2 convolution; the head runs at one site. cfg must be a
-    ModelConfig and H and W ints >= 1, else ConfigError.
+    block adds its S3A layer's two sweeps. cfg must be a ModelConfig and
+    H and W ints >= 1, else ConfigError.
     """
     _check_type("count_flops", cfg=(cfg, ModelConfig))
     H, W = check_int(H, "H"), check_int(W, "W")
-    params = build_model(cfg, ShapeOnly())
-
-    def macs(node, sites: int) -> int:
-        return weight_macs((t for _, t in tensor_items("", node)), sites)
-
     root = ReportNode(f"{cfg.name}@{H}x{W}")
-    h, w, stem = H, W, 0
-    for conv, s in zip(params.stem.convs, STEM_STRIDES):
-        h, w = -(-h // s), -(-w // s)
-        stem += macs(conv, h * w)
-    root.leaf("stem", stem)
-    for i in range(NUM_STAGES):
-        stage = root.add(ReportNode(f"stage{i + 1}"))
-        sweeps = s3a_attention_flops(cfg.stage_s3a(i), h, w)
-        for b, bp in enumerate(params.stages[i], start=1):
-            stage.leaf(f"block{b}", macs(bp, h * w) + sweeps)
-        if i < NUM_STAGES - 1:
-            h, w = -(-h // 2), -(-w // 2)
-            root.leaf(f"downsample{i + 1}", macs(params.downsamples[i], h * w))
-    root.leaf("head", macs(params.head, 1))
+    for path, parts, s3a, h, w, _ in _walk(cfg, build_model(cfg, ShapeOnly()), H, W):
+        macs = sum(weight_macs((t for _, t in tensor_items("", node)), sites) for _, node, sites in parts)
+        if s3a is not None:
+            macs += s3a_attention_flops(s3a, h, w)
+        stage, _, leaf = path.rpartition(".")
+        if stage and root.children[-1].name != stage:
+            root.add(ReportNode(stage))
+        (root.children[-1] if stage else root).leaf(leaf, macs)
     return root
 
 
@@ -241,13 +264,8 @@ def _slots(prefix: str, node) -> list[tuple[str, object, str]]:
 
 
 def _model_slots(params: ModelParams) -> list[tuple[str, object, str]]:
-    groups = [(f"stem.conv{i}", conv) for i, conv in enumerate(params.stem.convs, start=1)]
-    for si, blocks in enumerate(params.stages, start=1):
-        groups += [(f"stage{si}.block{bi}", bp) for bi, bp in enumerate(blocks, start=1)]
-        if si < NUM_STAGES:
-            groups.append((f"downsample{si}", params.downsamples[si - 1]))
-    groups.append(("head", params.head))
-    return [slot for prefix, node in groups for slot in _slots(prefix, node)]
+    return [slot for _, parts, *_ in _walk(None, params, 1, 1) for prefix, node, _ in parts
+            for slot in _slots(prefix, node)]
 
 
 def tensor_items(prefix: str, node) -> list[tuple[str, np.ndarray]]:

@@ -356,6 +356,21 @@ def test_infer_missing_parameter_fails_cleanly(tmp_path, capsys):
     assert "head.w" in captured.err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_infer_of_a_checkpoint_whose_logits_overflow_names_the_head(tmp_path, capsys):
+    cfg = tiny_config()
+    params = build_model(cfg, Rng(6))
+    params.head.ln.scale = np.full_like(params.head.ln.scale, 3e38)  # finite, so the checkpoint round-trips
+    ckpt, inp, out = tmp_path / "model.ssc", tmp_path / "input.ssa", tmp_path / "o.ssa"
+    save_model_checkpoint(str(ckpt), cfg, params)
+    save_tensor(str(inp), Rng(2).normal((3, 32, 32)))
+
+    assert main(["infer", str(ckpt), str(inp), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: head: the output holds NaN or Inf" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_infer_geometry_error_fails_cleanly(tmp_path, capsys):
     cfg = tiny_config()
     params = build_model(cfg, Rng(5))

@@ -461,8 +461,60 @@ def test_forward_of_a_huge_image_raises_rather_than_return_shifts():
     # the ssvit-t widths of the small config: once, a constant 1e30 image gave logits [0, 0, 0]
     cfg = get_config("ssvit-t", blocks=(1, 1, 1, 1), channels=(8, 16, 32, 64), classes=3)
     params = build_model(cfg, Rng(1))
-    with pytest.raises(NumericError, match="^layernorm: "):
+    with pytest.raises(NumericError, match=r"^stage1\.block1: layernorm: "):
         model_forward(np.full((3, 32, 32), 1e30, dtype=np.float32), params, cfg)
+
+
+def _small(**overrides):
+    return tiny_config(**{"blocks": (1, 1, 2, 1), "heads": (2, 2, 4, 8), "classes": 3, **overrides})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_forward_names_the_path_of_the_first_non_finite_value():
+    cfg = _small()
+    x = gen(105).normal(size=(3, 64, 64)).astype(np.float32)
+    params = build_model(cfg, Rng(1))
+    params.head.ln.scale = np.full_like(params.head.ln.scale, 3e38)  # finite, so load_state admits it
+    load_state(build_model(cfg, ShapeOnly()), dict(param_items(params)))
+    with pytest.raises(NumericError, match="^head: the output holds NaN or Inf$"):
+        model_forward(x, params, cfg)
+    params = build_model(cfg, Rng(1))
+    params.stages[2][1].s3a.w_out = np.full_like(params.stages[2][1].s3a.w_out, 3e38)
+    with pytest.raises(NumericError, match=r"^stage3\.block2: layernorm: the variance over channels is not finite$"):
+        model_forward(x, params, cfg)
+
+
+@pytest.mark.parametrize("cfg, mangle, error, message", [
+    (_small(blocks=(1, 1, 1, 1)), None, StateError, "stage3 blocks: 2 in the parameters, 1 in the model"),
+    (_small(), lambda p: p.stages[2].pop(), StateError, "stage3 blocks: 1 in the parameters, 2 in the model"),
+    (_small(), lambda p: p.stem.convs.pop(), StateError, "stem convolutions: 3 in the parameters, 4 in the model"),
+    (_small(), lambda p: p.downsamples.pop(), StateError, "downsamples: 2 in the parameters, 3 in the model"),
+    (_small(), lambda p: p.stages.pop(), StateError, "stages: 3 in the parameters, 4 in the model"),
+    (_small(classes=10), None, ShapeError, "head: w has 3 rows for 10 classes"),
+])
+def test_forward_refuses_a_tree_its_config_does_not_describe(cfg, mangle, error, message):
+    params = build_model(_small(), Rng(1))
+    if mangle is not None:
+        mangle(params)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        model_forward(gen(106).normal(size=(3, 64, 64)).astype(np.float32), params, cfg)
+
+
+@pytest.mark.parametrize("cfg", [*MODEL_PRESETS.values(), tiny_config()], ids=lambda c: c.name)
+def test_the_walk_paths_are_the_one_naming(cfg):
+    params = build_model(cfg, ShapeOnly())
+    paths = [path for path, *_ in model_module._walk(cfg, params, 224, 224)]
+
+    def leaves(node, prefix=""):
+        if not node.children:
+            return [prefix + node.name]
+        return [p for c in node.children for p in leaves(c, prefix + node.name + ".")]
+
+    assert [p.split(".", 1)[1] for p in leaves(count_flops(cfg, 224, 224))] == paths
+    # every tensor sits under a walk path, in walk order; the stem's under stem.conv1..4
+    owners = [next(p for p in paths if name.startswith(p + ".")) for name, _ in param_items(params)]
+    assert list(dict.fromkeys(owners)) == paths
+    assert all(re.match(r"stem\.conv[1-4]\.", name) for name, _ in param_items(params) if name.startswith("stem."))
 
 
 # Every public function the forward reaches through a module attribute,
