@@ -379,9 +379,12 @@ def kernel_backward(grads_out: np.ndarray, saved: KernelSaved) -> dict[str, np.n
     if grads_out.shape != v.shape:
         raise ShapeError(f"grads_out shape {grads_out.shape} != values {v.shape}")
     plan = _geometry_plan(H, W, spec)
+    grads_out = np.ascontiguousarray(grads_out)  # once: d_attn and grad_v both read it
 
-    d_attn = _lattice_matmul(grads_out, v, plan, sampled=True)
-    d_scores = attn * (d_attn - (attn * d_attn).sum(axis=-1, keepdims=True))
+    # d_scores = attn * (d_attn - rowsum(attn * d_attn)), in place on the fresh d_attn
+    d_scores = _lattice_matmul(grads_out, v, plan, sampled=True)
+    d_scores -= (attn * d_scores).sum(axis=-1, keepdims=True)
+    d_scores *= attn
 
     flat = (heads * H * W, dh)
     D = _sweep_matrix(d_scores, plan)

@@ -211,11 +211,15 @@ def _merge_heads(t: np.ndarray) -> np.ndarray:
 
 @dataclass
 class S3ASaved:
-    """Forward activations retained for the analytic backward pass."""
+    """Forward activations retained for the analytic backward pass.
+
+    q, the scaled k and v are kept once each, heads-contiguous, in
+    saved1 (the local sweep); saved2 shares q and k and holds the local
+    sweep's output as its values.
+    """
 
     cfg: S3AConfig
     x: np.ndarray
-    qkv: np.ndarray
     attn_out: np.ndarray
     saved1: KernelSaved
     saved2: KernelSaved
@@ -243,11 +247,11 @@ def s3a_forward(
     qkv += params.b_qkv[:, None]
     q, k, v = qkv[:C], qkv[C : 2 * C], qkv[2 * C :]
 
-    # heads-contiguous once here, so neither sweep copies q or k again
+    # heads-contiguous once here, so no sweep, forward or backward, copies q, k or v again
     qh = np.ascontiguousarray(_split_heads(q, heads, H, W))
     kh = np.ascontiguousarray(_split_heads(k, heads, H, W))
     kh *= x.dtype.type(cfg.head_dim**-0.5)
-    vh = _split_heads(v, heads, H, W)
+    vh = np.ascontiguousarray(_split_heads(v, heads, H, W))
 
     spec1 = NeighborhoodSpec(cfg.window)
     out1, saved1 = kernel_forward(qh, kh, vh, spec1)
@@ -261,10 +265,7 @@ def s3a_forward(
     if cfg.lce:
         out += depthwise_forward(v.reshape(C, H, W), params.lce_filt, params.lce_bias).reshape(C, H * W)
 
-    saved = S3ASaved(
-        cfg=cfg, x=x, qkv=qkv, attn_out=attn_out,
-        saved1=saved1, saved2=saved2, params=params,
-    )
+    saved = S3ASaved(cfg=cfg, x=x, attn_out=attn_out, saved1=saved1, saved2=saved2, params=params)
     return out.reshape(C, H, W), saved
 
 
@@ -286,27 +287,31 @@ def s3a_backward(grad_out: np.ndarray, saved: S3ASaved) -> dict[str, np.ndarray]
         "grad_w_out": g @ saved.attn_out.T,
         "grad_b_out": g.sum(axis=1),
     }
-    d_attn = params.w_out.T @ g
 
-    v = saved.qkv[2 * C :]
-    d_v_extra = np.zeros_like(v)
+    # One [3C, HW] gradient of the qkv projection, written through head views
+    # as the anchor sweep and then the local sweep unwind.
+    d_qkv = np.empty((3 * C, H * W), dtype=saved.x.dtype)
+    dq, dk, dv = (_split_heads(d_qkv[i * C : (i + 1) * C], heads, H, W) for i in range(3))
+    # the anchor sweep's cotangent, heads-contiguous once for both of its products
+    cot = np.ascontiguousarray(_split_heads(params.w_out.T @ g, heads, H, W))
+    b = kernel_backward(cot, saved.saved2)
+    del cot
+    # popped, so the anchor sweep's gradients are freed before the local sweep's gathers
+    dq[...], dk[...] = b.pop("grad_q"), b.pop("grad_k")
+    b = kernel_backward(b.pop("grad_v"), saved.saved1)
+    dq += b["grad_q"]
+    dk += b["grad_k"]
+    dk *= saved.x.dtype.type(cfg.head_dim**-0.5)
+    dv[...] = b["grad_v"]
+
     if cfg.lce:
-        dx_lce, dfilt, dbias = depthwise_backward(
-            g.reshape(C, H, W), v.reshape(C, H, W), params.lce_filt
+        v = _merge_heads(saved.saved1.v).reshape(C, H, W)
+        dx_lce, grads["grad_lce_filt"], grads["grad_lce_bias"] = depthwise_backward(
+            g.reshape(C, H, W), v, params.lce_filt
         )
-        d_v_extra = dx_lce.reshape(C, H * W)
-        grads["grad_lce_filt"] = dfilt
-        grads["grad_lce_bias"] = dbias
+        dv_map = d_qkv[2 * C :].reshape(C, H, W)
+        dv_map += dx_lce
 
-    g2 = _split_heads(d_attn, heads, H, W)
-    b2 = kernel_backward(g2, saved.saved2)
-    b1 = kernel_backward(b2["grad_v"], saved.saved1)
-
-    dq = _merge_heads(b1["grad_q"] + b2["grad_q"])
-    dk = _merge_heads(b1["grad_k"] + b2["grad_k"]) * saved.x.dtype.type(cfg.head_dim**-0.5)
-    dv = _merge_heads(b1["grad_v"]) + d_v_extra
-
-    d_qkv = np.concatenate([dq, dk, dv], axis=0)
     grads["grad_w_qkv"] = d_qkv @ xf.T
     grads["grad_b_qkv"] = d_qkv.sum(axis=1)
     grads["grad_x"] = (params.w_qkv.T @ d_qkv).reshape(C, H, W)

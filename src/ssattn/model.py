@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
@@ -284,23 +285,31 @@ def load_state(params: ModelParams, tensors: dict[str, np.ndarray]) -> None:
     `params` is any tree of the right architecture, typically one built
     from ShapeOnly; its arrays only supply the expected shape and dtype.
     Every tensor must match those (none is cast) and hold finite values.
+    `tensors` that is not a mapping is a StateError, a value that is not
+    a numpy array a DTypeError naming its path. Nothing is adopted
+    unless every check passes, so a refused state leaves `params` as it was.
     """
+    if not isinstance(tensors, Mapping):
+        raise StateError(f"load_state needs a mapping of path to array, got {type(tensors).__name__}")
     slots = _model_slots(params)
     for path, owner, name in slots:
         if path not in tensors:
             raise StateError(f"missing parameter {path!r}")
         src, arr = tensors[path], getattr(owner, name)
+        if not isinstance(src, np.ndarray):
+            raise DTypeError(f"parameter {path!r}: expected a numpy array, got {type(src).__name__}")
         if tuple(src.shape) != tuple(arr.shape):
             raise ShapeError(f"parameter {path!r}: stored shape {src.shape} != expected {arr.shape}")
         if src.dtype != arr.dtype:
             raise DTypeError(f"parameter {path!r}: stored dtype {src.dtype} != expected {arr.dtype}")
-        setattr(owner, name, src)
     extra = set(tensors) - {path for path, _, _ in slots}
     if extra:
-        raise StateError(f"unexpected parameters {sorted(extra)[:4]}")
+        raise StateError(f"unexpected parameters {sorted(extra, key=str)[:4]}")  # keys of any type
     for path, _, _ in slots:
         if not np.isfinite(tensors[path]).all():
             raise NumericError(f"parameter {path!r} holds NaN or Inf")
+    for path, owner, name in slots:
+        setattr(owner, name, tensors[path])
 
 
 def _jsonable(value):

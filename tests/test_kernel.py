@@ -394,6 +394,19 @@ def test_backward_state_guards():
         kernel_backward(np.zeros((1, 2, 2, 3)), saved)
 
 
+def test_backward_of_a_strided_cotangent_equals_its_contiguous_copy():
+    g = gen(34)
+    q, k, v = (g.normal(size=(2, 7, 6, 3)).astype(np.float32) for _ in range(3))
+    _, saved = kernel_forward(q, k, v, NeighborhoodSpec((3, 5), (2, 1)))
+    # [heads, H, W, dh] as a transposed view of a [heads*dh, H*W] map, as s3a_backward's heads are
+    strided = g.normal(size=(2 * 3, 7 * 6)).astype(np.float32).reshape(2, 3, 7, 6).transpose(0, 2, 3, 1)
+    assert not strided.flags.c_contiguous
+    got = kernel_backward(strided, saved)
+    want = kernel_backward(np.ascontiguousarray(strided), saved)
+    for key in ("grad_q", "grad_k", "grad_v"):
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
 def test_scores_reject_mixed_or_non_float_operands():
     spec = NeighborhoodSpec((3, 3))
     q = np.zeros((1, 4, 4, 2))

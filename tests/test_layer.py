@@ -1,4 +1,6 @@
 """Sparse-scan attention layer: config, params, forward/backward, FLOPs."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -460,6 +462,33 @@ def test_backward_lce_off_has_no_lce_grads():
     grads = s3a_backward(np.ones_like(x), saved)
     assert "grad_lce_filt" not in grads
     assert "grad_lce_bias" not in grads
+
+
+def test_train_step_keeps_q_k_v_once_and_one_qkv_gradient():
+    """One f32 forward+backward at stage-1 geometry (64 x 56^2, 2 heads), traced.
+
+    The saved state holds q, k and v once each (no qkv projection beside
+    their heads copies), and the backward fills one [3C, HW] qkv gradient
+    with no merge copies: 6.3 MB kept after the forward and a 17.5 MB
+    peak. A second copy of q and k, or the merged and concatenated qkv
+    gradient, goes over one of the bounds.
+    """
+    cfg = S3AConfig(channels=64, heads=2)
+    params = init_s3a_params(cfg, Rng(3))
+    x = gen(71).normal(size=(64, 56, 56)).astype(np.float32)
+    cot = gen(72).normal(size=x.shape).astype(np.float32)
+    s3a_backward(cot, s3a_forward(x, params, cfg)[1])  # builds the plans, loads scipy.sparse
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        y, saved = s3a_forward(x, params, cfg)
+        kept = tracemalloc.get_traced_memory()[0] - base
+        s3a_backward(cot, saved)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert kept <= 6.5e6, kept
+    assert peak <= 18.5e6, peak
 
 
 # ---------------------------------------------------------------------------

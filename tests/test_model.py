@@ -644,3 +644,40 @@ def test_load_state_rejects_non_finite_tensors_by_path():
         with pytest.raises(NumericError) as err:
             load_state(build_model(cfg, ShapeOnly()), bad)
         assert path in str(err.value)
+
+
+def test_load_state_names_a_value_that_is_not_an_array():
+    cfg = tiny_config()
+    as_lists = {path: arr.tolist() for path, arr in param_items(build_model(cfg, Rng(5)))}
+    with pytest.raises(DTypeError, match="'stem.conv1.w'.*got list"):
+        load_state(build_model(cfg, ShapeOnly()), as_lists)
+
+
+@pytest.mark.parametrize("tensors", [[1, 2], None, "stem.conv1.w", 3.0])
+def test_load_state_names_a_state_that_is_not_a_mapping(tensors):
+    with pytest.raises(StateError, match=f"got {type(tensors).__name__}$"):
+        load_state(build_model(tiny_config(), ShapeOnly()), tensors)
+
+
+@pytest.mark.parametrize("path, bad", [
+    ("head.w", np.zeros((1, 1), np.float32)),
+    ("head.b", np.full(7, np.inf, np.float32)),
+    ("head.b", [0.0] * 7),
+])
+def test_a_refused_state_leaves_the_model_as_it_was(path, bad):
+    cfg = tiny_config()
+    tensors = dict(param_items(build_model(cfg, Rng(5))))
+    tensors[path] = bad
+    dst = build_model(cfg, Rng(6))
+    before = param_items(dst)
+    with pytest.raises((ShapeError, NumericError, DTypeError)):
+        load_state(dst, tensors)
+    assert all(a is b for (_, a), (_, b) in zip(before, param_items(dst)))
+
+
+def test_load_state_lists_extra_keys_of_any_type():
+    cfg = tiny_config()
+    tensors = dict(param_items(build_model(cfg, Rng(5))))
+    tensors[1] = tensors["z.extra"] = np.zeros(1, np.float32)
+    with pytest.raises(StateError, match="unexpected parameters"):
+        load_state(build_model(cfg, ShapeOnly()), tensors)
