@@ -26,24 +26,35 @@ each product of a query row with its lattice rows runs as one batched
 GEMM per class: [heads, G, a*b, .] against the class's G key sets
 [heads, G, n, dh]. That covers the scores q . K_set and the attention
 gradient g . V_set (sampled dense-dense products) as well as the
-aggregation P @ V_set and the query gradient D @ K_set. A class's
+aggregation P @ V_set and, in the class form below, the query gradient
+D @ K_set. A class's
 queries are a strided view of the map and only its G key sets are
 gathered: a few large rectangles on the anchor lattice, and one key set
 per query of the interior class (1, 1) on the local window.
 
 The two transposed products, grad_k = D.T @ q and grad_v = A.T @ g,
-scatter onto keys, and the key sets of neighbouring rectangles overlap.
-They stay one CSR matrix per call with n entries per row,
-block-diagonal over heads; scipy.sparse is imported on the first
-backward, so a forward-only process never loads it.
+scatter onto keys, and the key sets of neighbouring rectangles may
+overlap. The plan picks one form for them and the query gradient D @ K
+from structure alone. Where most queries sit in rectangles of at least
+n queries (the anchor lattice: at 56 x 56, 2,500 of 3,136 queries in four
+25 x 25 rectangles against 49 keys), the query gradient is a class GEMM
+as above and each transposed product is one batched GEMM per class,
+[n, a*b] @ [a*b, dh] per rectangle, added into the result through a
+strided view of the class's key sets; where that view would hit one key
+twice, its taps are split into the fewest interleaved slices that do
+not. Elsewhere (the local window at sides >= 4, whose rectangles hold at
+most four queries against nine keys) all three products use one CSR
+matrix per sweep with n entries per row, block-diagonal over heads;
+scipy.sparse is imported on the first such backward, so a forward-only
+process never loads it.
 
 None of this index work depends on the data, only on (H, W, spec). A
 geometry's plan (its index map, run classes with their key sets and,
-from the first backward on, the CSR column pattern for one head count)
-is built once and kept in a least-recently-used cache of `_PLANS`
-entries; only the CSR data array is new per call. `flat_index_map`
-returns the plan's index map, one read-only array shared by every
-caller.
+from the first backward on, either the per-class scatter slices or the
+CSR column pattern for one head count) is built once and kept in a
+least-recently-used cache of `_PLANS` entries; only the CSR data array
+is new per call. `flat_index_map` returns the plan's index map, one
+read-only array shared by every caller.
 """
 from __future__ import annotations
 
@@ -182,23 +193,63 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _key_axis(lattice: np.ndarray, runs: Runs) -> tuple[Runs, int, tuple[slice, ...]]:
+    """Where one axis's run group scatters onto keys: (runs, tap, slices).
+
+    `lattice` is the axis's [side, k] clamped lattice. The returned Runs
+    give run g's lattice row as `length` = k taps starting at
+    `first + g * step`, `tap` apart; `slices` split the taps into the
+    fewest interleaved sets on which no two (run, tap) pairs share a key.
+    """
+    start, k = int(lattice[runs.first, 0]), lattice.shape[1]
+    step = int(lattice[runs.first + runs.step, 0]) - start if runs.count > 1 else 0
+    tap = int(lattice[0, 1] - lattice[0, 0]) if k > 1 else 0
+    # one tap per slice (m = k) always qualifies: a group's runs start at distinct keys
+    m = next(
+        m for m in range(1, k + 1)
+        if all(
+            len({g * step + t * tap for g in range(runs.count) for t in range(t0, k, m)})
+            == runs.count * len(range(t0, k, m))
+            for t0 in range(m)
+        )
+    )
+    return Runs(start, k, step, runs.count), tap, tuple(slice(t0, k, m) for t0 in range(m))
+
+
 class _Plan:
     """The data-independent index work of one geometry, built once.
 
     `idx` is the [H, W, n] index map. `classes` holds, per run class,
     its row runs, column runs and the [Gr, Gc, n] key sets of its
-    rectangles; both are read-only. `csr` is (heads, indices, indptr) of
-    the sweep matrices for the head count of the latest backward, None
-    before the first, and rewritten when the head count changes.
+    rectangles; both are read-only. `on_csr` picks the form of the
+    backward's three sweep-matrix products (see `_sweep_products`) from
+    structure alone: per run class when most of the map's queries sit in
+    rectangles of at least n queries, CSR otherwise (at 56 x 56, f32, 2
+    heads, the class form takes the anchor sweep's three products from
+    5.6 to 2.2 ms, and the local window's from 1.1 to 11 ms). `csr` is
+    (heads, indices, indptr) of the sweep matrices for the head count of
+    the latest CSR backward, None before the first, and rewritten when
+    the head count changes.
     """
 
-    def __init__(self, idx: np.ndarray):
+    def __init__(self, lh: np.ndarray, lw: np.ndarray, idx: np.ndarray):
+        self.lattices = (lh, lw)
         self.idx = idx
         self.classes = [
             (rows, cols, _frozen(np.ascontiguousarray(idx[_firsts(rows), _firsts(cols)])))
             for rows, cols in run_classes(idx)
         ]
+        H, W, n = idx.shape
+        shared = sum(r.length * c.length * r.count * c.count
+                     for r, c, _ in self.classes if r.length * c.length >= n)
+        self.on_csr = 2 * shared <= H * W
         self.csr = None
+
+    @functools.cached_property
+    def scatters(self) -> list[tuple[tuple, tuple]]:
+        """Per run class, the row and column `_key_axis` of its key sets."""
+        lh, lw = self.lattices
+        return [(_key_axis(lh, rows), _key_axis(lw, cols)) for rows, cols, _ in self.classes]
 
     def sweep_pattern(self, heads: int) -> tuple[np.ndarray, np.ndarray]:
         """CSR (indices, indptr) of a sweep matrix over `heads` heads; see _sweep_matrix."""
@@ -230,7 +281,7 @@ def _plan(H: int, W: int, spec: NeighborhoodSpec) -> _Plan:
     lw = clamped_lattice(np.arange(W), W, spec.kernel[1], spec.dilation[1])
     # frozen before the reshape, so the map's writeable flag cannot be set back
     flat = _frozen(lh[:, None, :, None] * W + lw[None, :, None, :])
-    return _Plan(flat.reshape(H, W, -1))
+    return _Plan(_frozen(lh), _frozen(lw), flat.reshape(H, W, -1))
 
 
 def _geometry_plan(H: int, W: int, spec: NeighborhoodSpec) -> _Plan:
@@ -241,28 +292,36 @@ def _geometry_plan(H: int, W: int, spec: NeighborhoodSpec) -> _Plan:
     return _plan(H, W, spec)
 
 
-def _class_view(t: np.ndarray, rows: Runs, cols: Runs) -> np.ndarray:
-    """[heads, Gr, Gc, a, b, last] view of a C-contiguous [heads, H, W, last] map."""
+def _class_view(t: np.ndarray, rows: Runs, cols: Runs, taps: tuple[int, int] = (1, 1)) -> np.ndarray:
+    """[heads, Gr, Gc, a, b, last] view of a C-contiguous [heads, H, W, last] map.
+
+    On each axis it holds `count` runs `step` apart from `first`, of
+    `length` positions `taps` apart: a class's queries, or with a
+    `_key_axis` pair, its key sets.
+    """
     s0, s1, s2, s3 = t.strides
     return np.ndarray(
         (t.shape[0], rows.count, cols.count, rows.length, cols.length, t.shape[3]),
         t.dtype, t, rows.first * s1 + cols.first * s2,
-        (s0, rows.step * s1, cols.step * s2, s1, s2, s3),
+        (s0, rows.step * s1, cols.step * s2, taps[0] * s1, taps[1] * s2, s3),
     )
 
 
-def _lattice_matmul(x: np.ndarray, y: np.ndarray, plan: _Plan, sampled: bool) -> np.ndarray:
+def _lattice_matmul(
+    x: np.ndarray, y: np.ndarray, plan: _Plan, sampled: bool, out: np.ndarray | None = None
+) -> np.ndarray:
     """Products of each query row of x with its lattice rows of y, one GEMM per run class.
 
     With idx = plan.idx, sampled: out[a, i, j, t] = <x[a, i, j], y[a, idx[i, j, t]]>,
     x is [heads, H, W, dh]; otherwise out[a, i, j] = sum_t x[a, i, j, t] * y[a, idx[i, j, t]],
-    x is [heads, H, W, n].
+    x is [heads, H, W, n]. `out`, if given, is a C-contiguous result to fill.
     """
     heads, H, W, _ = x.shape
     dh = y.shape[-1]
     x = np.ascontiguousarray(x)
     yf = np.ascontiguousarray(y).reshape(heads, H * W, dh)
-    out = np.empty((heads, H, W, plan.idx.shape[-1] if sampled else dh), np.result_type(x, y))
+    if out is None:
+        out = np.empty((heads, H, W, plan.idx.shape[-1] if sampled else dh), np.result_type(x, y))
     for rows, cols, keys in plan.classes:
         # [heads, Gr, Gc, n, dh]: the lattice rows of y shared by each rectangle
         ysets = np.take(yf, keys, axis=1)
@@ -273,6 +332,31 @@ def _lattice_matmul(x: np.ndarray, y: np.ndarray, plan: _Plan, sampled: bool) ->
         )
         _class_view(out, rows, cols)[...] = prod.reshape(xb.shape[:5] + (-1,))
     return out
+
+
+def _scatter_matmul(w: np.ndarray, x: np.ndarray, plan: _Plan, out: np.ndarray) -> None:
+    """The transposed lattice product, one GEMM per run class, added into out.
+
+    With idx = plan.idx, out[a, p] += w[a, i, j, t] * x[a, i, j] over the
+    (i, j, t) with idx[i, j, t] = p; w is [heads, H, W, n], x and out
+    [heads, H, W, dh], all C-contiguous. Each rectangle's
+    [n, a*b] @ [a*b, dh] product is added onto its key set through a
+    strided view of out, one interleaved tap slice at a time, so no add
+    hits a key twice.
+    """
+    heads, _, _, n = w.shape
+    dh = x.shape[-1]
+    for (rows, cols, _), ((krows, tr, rsl), (kcols, tc, csl)) in zip(plan.classes, plan.scatters):
+        G = (heads, rows.count, cols.count, rows.length * cols.length)
+        prod = np.matmul(
+            _class_view(w, rows, cols).reshape(*G, n).swapaxes(-1, -2),
+            _class_view(x, rows, cols).reshape(*G, dh),
+        ).reshape(*G[:3], krows.length, kcols.length, dh)
+        keys = _class_view(out, krows, kcols, (tr, tc))
+        for rs in rsl:
+            for cs in csl:
+                sub = keys[:, :, :, rs, cs]
+                sub += prod[:, :, :, rs, cs]
 
 
 def _sweep_matrix(weights: np.ndarray, plan: _Plan) -> sparse.csr_array:
@@ -288,6 +372,29 @@ def _sweep_matrix(weights: np.ndarray, plan: _Plan) -> sparse.csr_array:
     indices, indptr = plan.sweep_pattern(weights.shape[0])
     size = len(indptr) - 1
     return sparse.csr_array((weights.reshape(-1), indices, indptr), shape=(size, size))
+
+
+def _sweep_products(d_scores, attn, q, k, g, plan: _Plan, out=None) -> dict[str, np.ndarray]:
+    """grad_q = D @ k, grad_k = D.T @ q and grad_v = A.T @ g, D and A the sweep
+    matrices of d_scores and attn.
+
+    With out None they run on CSR. Otherwise out holds the three results,
+    [heads, H, W, dh] each, grad_k and grad_v zeroed, and they run per run
+    class into it.
+    """
+    if out is None:
+        flat = (g.size // g.shape[-1], g.shape[-1])
+        D = _sweep_matrix(d_scores, plan)
+        A = _sweep_matrix(attn, plan)
+        return {
+            "grad_q": (D @ k.reshape(flat)).reshape(g.shape),
+            "grad_k": (D.T @ q.reshape(flat)).reshape(g.shape),
+            "grad_v": (A.T @ g.reshape(flat)).reshape(g.shape),
+        }
+    _scatter_matmul(attn, g, plan, out["grad_v"])
+    _scatter_matmul(d_scores, np.ascontiguousarray(q), plan, out["grad_k"])
+    _lattice_matmul(d_scores, k, plan, sampled=False, out=out["grad_q"])
+    return out
 
 
 def _check_qkhw(t: np.ndarray, name: str) -> tuple[int, int, int, int]:
@@ -375,25 +482,24 @@ def kernel_backward(grads_out: np.ndarray, saved: KernelSaved) -> dict[str, np.n
     """Analytic gradients of the scores -> softmax -> aggregate composite."""
     q, k, v, attn, spec = saved.q, saved.k, saved.v, saved.attn, saved.spec
     check_float_dtypes("kernel_backward", v=v, grads_out=grads_out)
-    heads, H, W, dh = q.shape
+    _, H, W, _ = q.shape
     if grads_out.shape != v.shape:
         raise ShapeError(f"grads_out shape {grads_out.shape} != values {v.shape}")
     plan = _geometry_plan(H, W, spec)
     grads_out = np.ascontiguousarray(grads_out)  # once: d_attn and grad_v both read it
+    # The class form's results come before its transients, so that freeing those
+    # leaves no hole under the results the caller keeps.
+    shape, dtype = grads_out.shape, grads_out.dtype
+    out = None if plan.on_csr else {
+        "grad_q": np.empty(shape, dtype), "grad_k": np.zeros(shape, dtype), "grad_v": np.zeros(shape, dtype)
+    }
 
     # d_scores = attn * (d_attn - rowsum(attn * d_attn)), in place on the fresh d_attn
     d_scores = _lattice_matmul(grads_out, v, plan, sampled=True)
-    d_scores -= (attn * d_scores).sum(axis=-1, keepdims=True)
+    d_scores -= np.einsum("...n,...n->...", attn, d_scores)[..., None]
     d_scores *= attn
 
-    flat = (heads * H * W, dh)
-    D = _sweep_matrix(d_scores, plan)
-    A = _sweep_matrix(attn, plan)
-    return {
-        "grad_q": _lattice_matmul(d_scores, k, plan, sampled=False),
-        "grad_k": (D.T @ q.reshape(flat)).reshape(q.shape),
-        "grad_v": (A.T @ grads_out.reshape(flat)).reshape(q.shape),
-    }
+    return _sweep_products(d_scores, attn, q, k, grads_out, plan, out)
 
 
 def kernel_flops(H: int, W: int, heads: int, dh: int, spec: NeighborhoodSpec) -> int:

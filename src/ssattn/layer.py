@@ -252,6 +252,9 @@ def s3a_forward(
     kh = np.ascontiguousarray(_split_heads(k, heads, H, W))
     kh *= x.dtype.type(cfg.head_dim**-0.5)
     vh = np.ascontiguousarray(_split_heads(v, heads, H, W))
+    # the LCE branch reads v last, so the [3C, HW] projection is freed before the sweeps
+    lce = depthwise_forward(v.reshape(C, H, W), params.lce_filt, params.lce_bias) if cfg.lce else None
+    del qkv, q, k, v
 
     spec1 = NeighborhoodSpec(cfg.window)
     out1, saved1 = kernel_forward(qh, kh, vh, spec1)
@@ -262,8 +265,8 @@ def s3a_forward(
     attn_out = _merge_heads(out2)
     out = params.w_out @ attn_out
     out += params.b_out[:, None]
-    if cfg.lce:
-        out += depthwise_forward(v.reshape(C, H, W), params.lce_filt, params.lce_bias).reshape(C, H * W)
+    if lce is not None:
+        out += lce.reshape(C, H * W)
 
     saved = S3ASaved(cfg=cfg, x=x, attn_out=attn_out, saved1=saved1, saved2=saved2, params=params)
     return out.reshape(C, H, W), saved
@@ -288,21 +291,20 @@ def s3a_backward(grad_out: np.ndarray, saved: S3ASaved) -> dict[str, np.ndarray]
         "grad_b_out": g.sum(axis=1),
     }
 
-    # One [3C, HW] gradient of the qkv projection, written through head views
-    # as the anchor sweep and then the local sweep unwind.
-    d_qkv = np.empty((3 * C, H * W), dtype=saved.x.dtype)
-    dq, dk, dv = (_split_heads(d_qkv[i * C : (i + 1) * C], heads, H, W) for i in range(3))
     # the anchor sweep's cotangent, heads-contiguous once for both of its products
     cot = np.ascontiguousarray(_split_heads(params.w_out.T @ g, heads, H, W))
-    b = kernel_backward(cot, saved.saved2)
+    b2 = kernel_backward(cot, saved.saved2)
     del cot
-    # popped, so the anchor sweep's gradients are freed before the local sweep's gathers
-    dq[...], dk[...] = b.pop("grad_q"), b.pop("grad_k")
-    b = kernel_backward(b.pop("grad_v"), saved.saved1)
-    dq += b["grad_q"]
-    dk += b["grad_k"]
+    b1 = kernel_backward(b2.pop("grad_v"), saved.saved1)
+    # One [3C, HW] gradient of the qkv projection, allocated once both sweeps have
+    # run (so it is not live across the local sweep's gathers) and written through
+    # head views: each of q and k is the two sweeps' sum, in one pass.
+    d_qkv = np.empty((3 * C, H * W), dtype=saved.x.dtype)
+    dq, dk, dv = (_split_heads(d_qkv[i * C : (i + 1) * C], heads, H, W) for i in range(3))
+    np.add(b2.pop("grad_q"), b1.pop("grad_q"), out=dq)
+    np.add(b2.pop("grad_k"), b1.pop("grad_k"), out=dk)
     dk *= saved.x.dtype.type(cfg.head_dim**-0.5)
-    dv[...] = b["grad_v"]
+    dv[...] = b1.pop("grad_v")
 
     if cfg.lce:
         v = _merge_heads(saved.saved1.v).reshape(C, H, W)

@@ -451,6 +451,102 @@ def test_operands_that_are_not_arrays_raise_named_errors():
 
 
 # ---------------------------------------------------------------------------
+# the backward's sweep-matrix products, in both forms
+
+
+def _scatter_reference(w, x, idx):
+    """out[a, p] = sum of w[a, i, j, t] * x[a, i, j] over idx[i, j, t] = p, by np.add.at in float64."""
+    heads, H, W, n = w.shape
+    rows = w.astype(np.float64).reshape(heads, H * W, n, 1) * x.astype(np.float64).reshape(heads, H * W, 1, -1)
+    out = np.zeros((heads, H * W, x.shape[-1]))
+    for a in range(heads):
+        np.add.at(out[a], idx.reshape(-1), rows[a].reshape(H * W * n, -1))
+    return out.reshape(heads, H, W, -1)
+
+
+def _anchors(H, W):
+    """Stage-2 anchors as S3A resolves them: 7 per axis, stride side // 7."""
+    return NeighborhoodSpec((7, 7), (max(1, H // 7), max(1, W // 7)))
+
+
+def _products(heads, H, W, spec, dtype, class_form, dh=3, seed=50):
+    """(inputs, the three products) of one sweep with random weights, in the form asked for."""
+    plan = kernel_mod._plan(H, W, spec)
+    n = plan.idx.shape[-1]
+    g = gen(seed)
+    d_scores, attn = (g.normal(size=(heads, H, W, n)).astype(dtype) for _ in range(2))
+    q, k, cot = (g.normal(size=(heads, H, W, dh)).astype(dtype) for _ in range(3))
+    out = None
+    if class_form:
+        out = {"grad_q": np.empty(q.shape, dtype), "grad_k": np.zeros(q.shape, dtype),
+               "grad_v": np.zeros(q.shape, dtype)}
+    got = kernel_mod._sweep_products(d_scores, attn, q, k, cot, plan, out)
+    return plan, (d_scores, attn, q, k, cot), got
+
+
+@pytest.mark.parametrize("class_form", [False, True], ids=["csr", "per-class"])
+@pytest.mark.parametrize(
+    "heads, H, W, spec",
+    [
+        (2, 56, 56, _anchors(56, 56)),  # stage-1 anchors: no tap slices
+        (2, 57, 41, _anchors(57, 41)),  # the lattice overlaps itself: 2 x 3 tap slices
+        (1, 55, 55, _anchors(55, 55)),
+        (3, 9, 13, _anchors(9, 13)),  # up to 3 x 5 tap slices
+        (2, 7, 7, _anchors(7, 7)),  # one class, one rectangle
+        (2, 1, 1, NeighborhoodSpec((7, 7))),  # one query, one key
+        (2, 20, 36, NeighborhoodSpec((3, 3))),  # local window, non-square
+        (2, 5, 9, NeighborhoodSpec((3, 7), (2, 1))),  # non-square spec
+        (1, 20, 36, NeighborhoodSpec((7, 7), (2, 5))),
+    ],
+)
+def test_sweep_products_match_a_scatter_reference(heads, H, W, spec, class_form):
+    plan, (d_scores, attn, q, k, cot), got = _products(heads, H, W, spec, np.float64, class_form)
+    want_q = kernel_mod._lattice_matmul(d_scores, k, plan, sampled=False)
+    np.testing.assert_allclose(got["grad_q"], want_q, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(got["grad_k"], _scatter_reference(d_scores, q, plan.idx), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(got["grad_v"], _scatter_reference(attn, cot, plan.idx), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("H, W, spec", [(56, 56, _anchors(56, 56)), (57, 41, _anchors(57, 41))])
+def test_single_precision_products_err_alike_in_both_forms(H, W, spec):
+    errs = {}
+    for class_form in (False, True):
+        _, (d_scores, attn, q, k, cot), got = _products(2, H, W, spec, np.float32, class_form, dh=32)
+        want = _scatter_reference(attn, cot, kernel_mod._plan(H, W, spec).idx)
+        assert got["grad_v"].dtype == np.float32
+        errs[class_form] = np.abs(got["grad_v"] - want).max() / np.abs(want).max()
+    # f32 rounding of sums over up to 49 * 625 terms: about 1e-6 of the largest entry either way
+    assert errs[False] <= 1e-5 and errs[True] <= 2 * errs[False], errs
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    H=st.integers(1, 40), W=st.integers(1, 40),
+    kh=_odd_kernel, kw=_odd_kernel, dh=st.integers(1, 12), dw=st.integers(1, 12),
+)
+def test_class_form_scatter_matches_the_reference_on_any_geometry(H, W, kh, kw, dh, dw):
+    spec = NeighborhoodSpec((kh, kw), (dh, dw))
+    plan, (d_scores, _, q, _, _), got = _products(1, H, W, spec, np.float64, class_form=True, dh=2)
+    np.testing.assert_allclose(got["grad_k"], _scatter_reference(d_scores, q, plan.idx), rtol=1e-12, atol=1e-12)
+
+
+def test_the_plan_runs_anchors_per_class_and_the_local_window_on_csr():
+    for side in range(4, 64):
+        assert kernel_mod._plan(side, side, NeighborhoodSpec((3, 3))).on_csr, side
+    for H, W in [(7, 7), (14, 14), (28, 28), (56, 56), (55, 55), (57, 41), (40, 160)]:
+        assert not kernel_mod._plan(H, W, _anchors(H, W)).on_csr, (H, W)
+
+
+def test_an_anchor_backward_builds_no_csr_pattern():
+    kernel_mod._plan.cache_clear()
+    q = gen(51).normal(size=(2, 56, 56, 4)).astype(np.float32)
+    for spec in (_anchors(56, 56), NeighborhoodSpec((3, 3))):
+        kernel_backward(q, kernel_forward(q, q, q, spec)[1])
+    assert kernel_mod._plan(56, 56, _anchors(56, 56)).csr is None
+    assert kernel_mod._plan(56, 56, NeighborhoodSpec((3, 3))).csr is not None
+
+
+# ---------------------------------------------------------------------------
 # the per-geometry plan cache
 
 

@@ -491,6 +491,27 @@ def test_train_step_keeps_q_k_v_once_and_one_qkv_gradient():
     assert peak <= 18.5e6, peak
 
 
+def test_forward_frees_the_qkv_projection_before_the_sweeps():
+    """One traced f32 forward at stage-1 geometry (64 x 56^2, 2 heads).
+
+    The LCE branch runs on v right after the heads copies, so the [3C, HW]
+    projection (2.4 MB) is not live across either sweep's gathers: an
+    11.2 MB peak, where holding it to the end of the forward read 12.8 MB.
+    """
+    cfg = S3AConfig(channels=64, heads=2)
+    params = init_s3a_params(cfg, Rng(3))
+    x = gen(73).normal(size=(64, 56, 56)).astype(np.float32)
+    s3a_forward(x, params, cfg)  # builds the plans
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        s3a_forward(x, params, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11.8e6, peak
+
+
 # ---------------------------------------------------------------------------
 # cost accounting
 
