@@ -10,10 +10,10 @@ The package is organized bottom-up:
   oracle   brute-force references sharing no index machinery
   io       tensor-file and checkpoint formats
   checks   the validation suites behind `ssattn check`
-  bench    wall-clock timing with analytic MAC context
+  bench    the per-token scaling check of one S3A layer
   cli      the `ssattn` command-line tool
 """
-from .bench import SCOPE_NOTE, bench_scaling, run_bench
+from .bench import SCOPE_NOTE, bench_scaling
 from .blocks import (
     conv2d,
     downsample_forward,

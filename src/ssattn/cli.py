@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .bench import run_bench
+from .bench import SCOPE_NOTE, bench_scaling
 from .checks import BUDGETS, CHECKS, run_checks, validate_tol
 from .errors import ConfigError, ShapeError, SSAttnError
 from .io import atomic_write_bytes, load_model_checkpoint, load_tensor, save_tensor
@@ -28,7 +28,7 @@ from .model import (
     count_params,
     model_forward,
 )
-from .tensor import DTYPES, check_int
+from .tensor import check_int
 
 MAC_CONVENTION = (
     "1 MAC = 1 FLOP; softmax, GELU, normalization and bias additions are excluded"
@@ -159,27 +159,9 @@ def _cmd_check(args, parser) -> int:
 
 
 def _cmd_bench(args, parser) -> int:
-    cfg = _resolve_config(args, parser)
-    res = args.resolution
-    doc = {
-        "command": "bench",
-        "config": config_to_dict(cfg),
-        "config_hash": config_hash(cfg),
-        "resolution": res,
-        "repeats": args.repeats,
-        "seed": args.seed,
-        "dtype": args.dtype,
-        "mac_convention": MAC_CONVENTION,
-    }
-    doc.update(run_bench(cfg, res, res, args.repeats, args.seed, DTYPES[args.dtype]))
+    sc = bench_scaling(args.repeats, args.seed)
+    doc = {"command": "bench", "repeats": args.repeats, "seed": args.seed, "scaling": sc, "note": SCOPE_NOTE}
     _emit(doc, args.out)
-    fwd = doc["model_forward"]
-    print(
-        f"{cfg.name} @ {res}x{res} ({args.dtype}): forward median {fwd['median_s']:.4f}s, "
-        f"{fwd['macs_per_s'] / 1e9:.2f} GMAC/s",
-        file=sys.stderr,
-    )
-    sc = doc["scaling"]
     print(
         f"scaling envelope {sc['per_token_envelope']:.3f} (bound {sc['envelope_bound']}): "
         + ("within" if sc["within_envelope"] else "EXCEEDED"),
@@ -211,22 +193,19 @@ def _cmd_infer(args, parser) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ssattn",
-        description="Sparse-scan self-attention: model accounting, validation suites, benchmarks, inference.",
+        description="Sparse-scan self-attention: model accounting, validation suites, a scaling check, inference.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def neighborhood_flags(p):
-        p.add_argument("--window", type=int, default=None, help="override window extent (odd)")
-        p.add_argument("--anchors", type=int, default=None, help="override anchor extent (odd)")
-        p.add_argument("--stride", type=_stride_arg, default=None, help="anchor stride: auto or N")
-        p.add_argument("--no-lce", action="store_true", help="disable the local context branch")
 
     p_desc = sub.add_parser("describe", help="parameter and MAC accounting for a configuration")
     p_desc.add_argument("config_pos", nargs="?", metavar="CONFIG", default=None,
                         help="preset name or config JSON path (same as --config)")
     p_desc.add_argument("--config", default=None)
     p_desc.add_argument("--resolution", type=_resolution_arg, default=224)
-    neighborhood_flags(p_desc)
+    p_desc.add_argument("--window", type=int, default=None, help="override window extent (odd)")
+    p_desc.add_argument("--anchors", type=int, default=None, help="override anchor extent (odd)")
+    p_desc.add_argument("--stride", type=_stride_arg, default=None, help="anchor stride: auto or N")
+    p_desc.add_argument("--no-lce", action="store_true", help="disable the local context branch")
     p_desc.add_argument("--out", default=None, help="also write the JSON document here")
 
     p_check = sub.add_parser("check", help="run the numerical validation suites")
@@ -242,14 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="CHECK=VALUE", help="override a suite tolerance")
     p_check.add_argument("--out", default=None)
 
-    p_bench = sub.add_parser("bench", help="wall-clock timing with analytic MAC context")
-    p_bench.add_argument("config_pos", nargs="?", metavar="CONFIG", default=None)
-    p_bench.add_argument("--config", default=None)
-    p_bench.add_argument("--resolution", type=_resolution_arg, default=224)
+    p_bench = sub.add_parser("bench", help="the per-token scaling envelope of one S3A layer")
     p_bench.add_argument("--repeats", type=_int_arg("repeats", 3), default=5)
     p_bench.add_argument("--seed", type=_int_arg("seed", 0), default=0)
-    p_bench.add_argument("--dtype", choices=sorted(DTYPES), default="f32")
-    neighborhood_flags(p_bench)
     p_bench.add_argument("--out", default=None)
 
     p_infer = sub.add_parser("infer", help="run a checkpoint on a tensor file")

@@ -76,9 +76,11 @@ def _odd(v, name: str) -> int:
 
 
 def _pair(value, name: str, odd: bool = False) -> tuple[int, int]:
-    """Normalize an int or 2-sequence into a validated (h, w) pair."""
+    """Normalize an int, or a tuple, list or array of two, into a validated (h, w) pair."""
     if isinstance(value, (int, np.integer)):
         value = (value, value)
+    elif not isinstance(value, (tuple, list, np.ndarray)):
+        raise ConfigError(f"{name} must be an int or a pair, got {value!r}")
     try:
         a, b = value
     except (TypeError, ValueError):

@@ -21,10 +21,8 @@ from ssattn.checks import (
     check_normalization,
     check_oracle,
     check_params,
-    tiny_config,
 )
 from ssattn.cli import main
-from ssattn.model import config_to_dict
 
 
 def record(num, title, passed, seconds, budget, detail):
@@ -165,7 +163,7 @@ def test_criterion_8_format_round_trip():
     )
 
 
-def test_criterion_9_scope_and_scaling(tmp_path, capsys):
+def test_criterion_9_scope_and_scaling(capsys):
     # published training-scale results are out of scope by construction;
     # the statement must say so explicitly and the bench report must be
     # well-formed with the per-token envelope inside its 2x bound
@@ -173,10 +171,8 @@ def test_criterion_9_scope_and_scaling(tmp_path, capsys):
                      "throughput", "cannot be reproduced"]:
         assert fragment in SCOPE_NOTE, fragment
 
-    cfg_path = tmp_path / "tiny.json"
-    cfg_path.write_text(json.dumps(config_to_dict(tiny_config())))
     t0 = time.perf_counter()
-    rc = main(["bench", "--config", str(cfg_path), "--resolution", "64", "--repeats", "3"])
+    rc = main(["bench", "--repeats", "3"])
     seconds = time.perf_counter() - t0
     doc = json.loads(capsys.readouterr().out)
     scaling = doc["scaling"]

@@ -47,11 +47,6 @@ def _scaling(repeats, seed=0):
         return bench.bench_scaling(repeats=repeats, seed=seed)
 
 
-def _bench_model(H=32, W=36):
-    with _untimed():
-        return bench.bench_model(TINY, H, W, 3, 0, np.float32)
-
-
 TINY = tiny_config()
 BLOCKS = dict(blocks=(1, 1, 1, 1), channels=(8, 16, 32, 64), heads=(1, 2, 4, 8))
 
@@ -98,8 +93,6 @@ ENTRIES = {
     "check_lattice.seed": Entry(lambda v: check_lattice(seed=v, cases=2), 4, ConfigError, -1, ConfigError),
     "bench_scaling.repeats": Entry(_scaling, 3, ConfigError, 2, ConfigError),
     "bench_scaling.seed": Entry(lambda v: _scaling(3, v), 2, ConfigError, -1, ConfigError),
-    "bench_model.H": Entry(lambda v: _bench_model(H=v), 40, ShapeError, 28, ShapeError, (None, 64)),
-    "bench_model.W": Entry(lambda v: _bench_model(W=v), 36, ShapeError, -4, ShapeError, (None, 64)),
 }
 
 NON_INTEGERS = [True, 2.5, "3", None, np.float64(3)]
@@ -157,7 +150,6 @@ def test_a_numpy_integer_gives_the_int_result(name):
     (lambda: bench.bench_scaling(repeats=3.5), ConfigError),
     (lambda: philox(1, 0.5), ConfigError),
     (lambda: check_input_sides(64.0, 64), ShapeError),
-    (lambda: bench.bench_model(TINY, 32.0, 32, 3, 0, np.float32), ShapeError),
     (lambda: S3AConfig(channels=np.int64(64), heads=2) == S3AConfig(64, 2) or None, None),
 ])
 def test_values_that_crashed_or_passed_silently_before_the_rule(call, error):

@@ -1,4 +1,5 @@
 """Sparse-scan attention layer: config, params, forward/backward, FLOPs."""
+import re
 import tracemalloc
 
 import numpy as np
@@ -64,6 +65,16 @@ def test_sequence_geometry_is_stored_as_int_pairs():
     assert cfg == S3AConfig(8, 2, anchors=5, stride=2)
     with pytest.raises(ConfigError, match="stride must be an int or a pair"):
         S3AConfig(8, 2, stride=np.array([2, 2, 2]))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"window": b"33"}, {"window": "35"}, {"anchors": {5, 7}}, {"window": {3: 0, 5: 0}}, {"stride": range(2, 4)},
+], ids=repr)
+def test_geometry_that_is_not_an_int_or_a_pair_is_refused_as_given(kwargs):
+    # bytes, str, set, dict and range unpack into two items, but are no pair
+    (name, value), = kwargs.items()
+    with pytest.raises(ConfigError, match=f"{name} must be an int or a pair, got {re.escape(repr(value))}$"):
+        S3AConfig(8, 2, **kwargs)
 
 
 def test_config_validation_errors():

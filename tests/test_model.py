@@ -604,6 +604,46 @@ def test_a_float32_forward_loads_neither_scipy_special_nor_scipy_sparse():
     assert got["grads"] == digest(*(grads[k] for k in sorted(grads)))
 
 
+_THREAD_DIGESTS = """
+import hashlib, json
+import numpy as np
+import ssattn
+from ssattn.tensor import Rng
+
+def digest(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+cfg = ssattn.get_config("ssvit-t")
+params = ssattn.build_model(cfg, Rng(5))
+out = {}
+for H, W in ((224, 224), (96, 96), (32, 160)):
+    x = np.random.default_rng(H * W).standard_normal((3, H, W), dtype=np.float32)
+    out[f"logits_{H}x{W}"] = digest(ssattn.model_forward(x, params, cfg))
+lc = ssattn.S3AConfig(channels=64, heads=2)
+g = np.random.default_rng(9)
+x, cot = (g.standard_normal((64, 56, 56), dtype=np.float32) for _ in range(2))
+y, saved = ssattn.s3a_forward(x, ssattn.init_s3a_params(lc, Rng(6)), lc)
+grads = ssattn.s3a_backward(cot, saved)
+out["s3a_64x56x56"] = digest(y, *(grads[k] for k in sorted(grads)))
+print(json.dumps(out))
+"""
+
+
+def test_float32_outputs_do_not_depend_on_the_blas_thread_count():
+    # float64 GEMMs may split their sums by thread count (README, Determinism);
+    # the float32 forward and the S3A backward, at these shapes, must not
+    src = str(Path(ssattn.__file__).resolve().parents[1])
+    env_path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    runs = []
+    for threads in ("1", "2"):
+        pinned = {var: threads for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        run = subprocess.run([sys.executable, "-c", _THREAD_DIGESTS], capture_output=True, text=True,
+                             timeout=300, env={**os.environ, **pinned, "PYTHONPATH": env_path}, check=True)
+        runs.append(json.loads(run.stdout))
+    assert len(runs[0]) == 4
+    assert runs[0] == runs[1]
+
+
 # ---------------------------------------------------------------------------
 # state loading
 
