@@ -69,6 +69,9 @@ ENTRIES = {
     "s3a_flops.W": Entry(lambda v: s3a_flops(S3AConfig(8, 2), 9, v), 9, ConfigError, -1, EmptyDomainError),
     "S3AConfig.channels": Entry(lambda v: S3AConfig(channels=v, heads=2), 64, ConfigError, 0, ConfigError),
     "S3AConfig.heads": Entry(lambda v: S3AConfig(channels=64, heads=v), 2, ConfigError, -2, ConfigError),
+    "S3AConfig.window": Entry(lambda v: S3AConfig(8, 2, window=v), 5, ConfigError, -1, ConfigError),
+    "S3AConfig.anchors": Entry(lambda v: S3AConfig(8, 2, anchors=v), 5, ConfigError, -3, ConfigError),
+    "S3AConfig.stride": Entry(lambda v: S3AConfig(8, 2, stride=v), 2, ConfigError, 0, ConfigError),
     "ModelConfig.blocks": Entry(
         lambda v: ModelConfig("x", **{**BLOCKS, "blocks": (1, v, 1, 1)}), 2, ConfigError, 0, ConfigError),
     "ModelConfig.heads": Entry(
