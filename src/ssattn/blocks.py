@@ -39,7 +39,7 @@ from .layer import (
     init_s3a_params,
     s3a_forward,
 )
-from .tensor import F32, Rng, check_float_dtypes, check_int, check_shapes
+from .tensor import F32, Rng, _checked_shape, check_float_dtypes, check_int, check_shapes
 
 LN_EPS = 1e-6
 CPE_KERNEL = 3
@@ -170,6 +170,8 @@ def conv2d(
     if b is not None:
         check_shapes("conv2d", b=(b, w.shape[:1]))
     stride, padding = check_int(stride, "stride", 1, ShapeError), check_int(padding, "padding", 0, ShapeError)
+    # SizeError unless the padded map is addressable, even with no channels
+    _checked_shape((max(x.shape[0], 1), x.shape[1] + 2 * padding, x.shape[2] + 2 * padding))
     kh, kw = w.shape[2:]
     taps = _tap_window(x, kh, kw, (padding, padding), stride)  # [Cin, oh, ow, kh, kw]
     out = np.tensordot(w, taps, axes=([1, 2, 3], [0, 3, 4]))
@@ -328,7 +330,7 @@ def ffn_forward(x: np.ndarray, p: FfnParams) -> np.ndarray:
     h += p.b1[:, None]
     out = p.w2 @ gelu(h)
     out += p.b2[:, None]
-    return out.reshape(-1, H, W)
+    return out.reshape(C, H, W)
 
 
 def ssvit_block(x: np.ndarray, p: BlockParams, cfg: S3AConfig) -> np.ndarray:

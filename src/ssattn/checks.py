@@ -5,22 +5,29 @@ Each suite compares the fast implementation to a reference that shares
 no index machinery with it — brute-force point-set attention, dense
 full attention, straight-line single-stage composition, closed-form
 counts, finite differences. A suite is one function registered with
-`@_suite(name, budget)`: its body takes (seed, cases) and returns
-(passed, cases, max_err, tol, detail), where tol is the suite's fixed
-bound. The decorator enters it in `CHECKS` and its wall-clock budget in
-`BUDGETS`, in definition order, and wraps it so that every call, direct
-or through `run_checks`, raises ConfigError unless `seed` is an int
->= 0 and `cases` an integer >= 1, times the body, and returns a named
-CheckResult. The CLI `check` command and the acceptance tests both
-run these functions.
+`@_suite(name, budget, **tols)`, where each keyword names one of the
+suite's bounds and gives its fixed tolerance. Its body takes
+(seed, cases, err), calls `err(label, value)` for every error it
+measures, and returns (cases, detail). The decorator enters it in
+`CHECKS` and its wall-clock budget in `BUDGETS`, in definition order,
+and wraps it so that every call, direct or through `run_checks`,
+raises ConfigError unless `seed` is an int >= 0 and `cases` an integer
+>= 1, times the body, and returns a named CheckResult. The wrapper
+alone decides `passed`: it keeps the largest value recorded per label
+(0.0 if none was), lets a NaN propagate, and passes the suite only
+when every bound's worst value is <= its tolerance, so a NaN fails.
+A pass/fail condition is recorded as a count against a tolerance of 0.
+The CLI `check` command and the acceptance tests both run these
+functions.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -80,13 +87,15 @@ class CheckResult:
     name: str
     passed: bool
     cases: int
-    max_err: float | None
-    tol: float | None
+    bounds: dict[str, dict[str, float]]  # label -> {"max_err", "tol"}
     seconds: float
     detail: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "passed": bool(self.passed), "seconds": round(self.seconds, 4)}
+        # strict JSON has no NaN or Infinity: a non-finite error is written as "nan" or "inf"
+        bounds = {k: {**b, "max_err": b["max_err"] if math.isfinite(b["max_err"]) else str(b["max_err"])}
+                  for k, b in self.bounds.items()}
+        return {**asdict(self), "bounds": bounds, "seconds": round(self.seconds, 4)}
 
 
 CHECKS: dict[str, Callable[..., CheckResult]] = {}
@@ -95,17 +104,26 @@ CHECKS: dict[str, Callable[..., CheckResult]] = {}
 BUDGETS: dict[str, float] = {}
 
 
-def _suite(name: str, budget: float):
-    """Register a suite body under name, with its budget, as a checked and timed suite."""
+def _suite(name: str, budget: float, **tols: float):
+    """Register a suite body under name, with its budget and its bounds {label: tol}, as a checked,
+    timed and judged suite."""
 
     def register(body):
         def suite(seed: int = 0, cases: int | None = None) -> CheckResult:
             check_int(seed, "seed", 0)
             if cases is not None:
                 check_int(cases, "cases")
+            worst = dict.fromkeys(tols, 0.0)
+
+            def err(label: str, value: float) -> None:
+                worst[label] = float(np.maximum(worst[label], value))  # a NaN propagates
+
             t0 = time.perf_counter()
-            passed, n, max_err, tol, detail = body(seed, cases)
-            return CheckResult(name, passed, n, max_err, tol, time.perf_counter() - t0, detail)
+            n, detail = body(seed, cases, err)
+            seconds = time.perf_counter() - t0
+            bounds = {k: {"max_err": worst[k], "tol": tol} for k, tol in tols.items()}
+            passed = all(worst[k] <= tol for k, tol in tols.items())
+            return CheckResult(name, passed, n, bounds, seconds, detail)
 
         suite.__name__ = suite.__qualname__ = body.__name__
         suite.__doc__ = body.__doc__
@@ -129,33 +147,31 @@ def _cast_layer(params: S3AParams, dtype) -> S3AParams:
 # criterion: parameter counts
 
 
-@_suite("params", 1.0)
-def check_params(seed, cases):
+@_suite("params", 1.0, rel_dev=0.10, out_of_order=0)
+def check_params(seed, cases, err):
     """Analytic parameter totals of the four presets vs their targets."""
-    tol = 0.10
-    detail, worst = {}, 0.0
+    detail = {}
     for name, target in PARAM_TARGETS.items():
         total = count_params(MODEL_PRESETS[name]).total()
         dev = abs(total - target) / target
-        worst = max(worst, dev)
+        err("rel_dev", dev)
         detail[name] = {"total": int(total), "target": int(target), "rel_dev": round(dev, 4)}
     totals = [detail[n]["total"] for n in ("ssvit-t", "ssvit-s", "ssvit-b", "ssvit-l")]
-    monotone = all(a < b for a, b in zip(totals, totals[1:]))
-    detail["monotone_t_s_b_l"] = monotone
-    return worst <= tol and monotone, len(PARAM_TARGETS), worst, tol, detail
+    err("out_of_order", sum(a >= b for a, b in zip(totals, totals[1:])))
+    return len(PARAM_TARGETS), detail
 
 
 # ---------------------------------------------------------------------------
 # criterion: FLOP counts
 
 
-@_suite("flops", 1.0)
-def check_flops(seed, cases):
+@_suite("flops", 1.0, rel_dev=0.15)
+def check_flops(seed, cases, err):
     """MAC total for the smallest preset at 224x224, itemized per stage."""
-    tol = 0.15
     tree = count_flops(MODEL_PRESETS["ssvit-t"], 224, 224)
     total = tree.total()
     dev = abs(total - FLOP_TARGET_T224) / FLOP_TARGET_T224
+    err("rel_dev", dev)
     detail = {
         "ssvit-t@224": {
             "total": int(total),
@@ -168,21 +184,19 @@ def check_flops(seed, cases):
         "ssvit-b@224": int(count_flops(MODEL_PRESETS["ssvit-b"], 224, 224).total()),
         "ssvit-l@224": int(count_flops(MODEL_PRESETS["ssvit-l"], 224, 224).total()),
     }
-    return dev <= tol, 1, dev, tol, detail
+    return 1, detail
 
 
 # ---------------------------------------------------------------------------
 # criterion: oracle equivalence
 
 
-@_suite("oracle", 120.0)
-def check_oracle(seed, cases):
+@_suite("oracle", 120.0, f64=1e-6, f32=1e-4)
+def check_oracle(seed, cases, err):
     """Layer forward vs the brute-force point-set reference."""
     n_cases = 200 if cases is None else cases
-    tol64, tol32 = 1e-6, 1e-4
     g = philox(seed)
     forced = [(1, 1), (1, 7), (7, 1), (12, 12), (1, 12), (3, 11), (11, 3), (9, 9)]
-    err64 = err32 = 0.0
     for i in range(n_cases):
         if i < len(forced):
             H, W = forced[i]
@@ -200,15 +214,8 @@ def check_oracle(seed, cases):
         x = g.normal(0.0, 1.0, size=(C, H, W)).astype(dtype)
         out, _ = s3a_forward(x, params, cfg)
         ref = oracle_s3a(x, params, cfg)
-        err = float(np.max(np.abs(out.astype(np.float64) - ref))) if out.size else 0.0
-        if dtype is np.float64:
-            err64 = max(err64, err)
-        else:
-            err32 = max(err32, err)
-    passed = err64 <= tol64 and err32 <= tol32
-    return passed, n_cases, err64, tol64, {
-        "max_err_f64": err64, "tol_f64": tol64, "max_err_f32": err32, "tol_f32": tol32,
-    }
+        err("f64" if dtype is np.float64 else "f32", np.max(np.abs(out.astype(np.float64) - ref)))
+    return n_cases, {}
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +261,13 @@ def _single_stage_route(x: np.ndarray, params: S3AParams, cfg: S3AConfig) -> np.
     return y.reshape(C, H, W)
 
 
-@_suite("degeneracy", 30.0)
-def check_degeneracy(seed, cases):
+@_suite("degeneracy", 30.0, dense=1e-5, single_stage=1e-6)
+def check_degeneracy(seed, cases, err):
     """Collapsed-geometry equivalences against independent formulations."""
     per_suite = 20 if cases is None else max(1, cases // 2)
-    tol_dense, tol_single = 1e-5, 1e-6
     g = philox(seed, 1)
 
     # (a) window covers the map, one anchor -> dense full attention
-    err_dense = 0.0
     for i in range(per_suite):
         H = int(g.choice([1, 3, 5, 7]))
         W = int(g.choice([1, 3, 5, 7]))
@@ -275,11 +280,9 @@ def check_degeneracy(seed, cases):
         params = _random_layer(cfg, g, dtype)
         x = g.normal(0.0, 1.0, size=(C, H, W)).astype(dtype)
         out, _ = s3a_forward(x, params, cfg)
-        ref = _dense_route(x, params, cfg)
-        err_dense = max(err_dense, float(np.max(np.abs(out.astype(np.float64) - ref))))
+        err("dense", np.max(np.abs(out.astype(np.float64) - _dense_route(x, params, cfg))))
 
     # (b) window 1 -> stage 1 is the identity on values
-    err_single = 0.0
     for i in range(per_suite):
         H, W = int(g.integers(1, 11)), int(g.integers(1, 11))
         C = int(g.choice([2, 4, 8]))
@@ -293,13 +296,8 @@ def check_degeneracy(seed, cases):
         x = g.normal(0.0, 1.0, size=(C, H, W)).astype(dtype)
         out, _ = s3a_forward(x, params, cfg)
         ref = _single_stage_route(x, params, cfg)
-        err_single = max(err_single, float(np.max(np.abs(out.astype(np.float64) - ref.astype(np.float64)))))
-
-    passed = err_dense <= tol_dense and err_single <= tol_single
-    return passed, 2 * per_suite, max(err_dense, err_single), max(tol_dense, tol_single), {
-        "dense_max_err": err_dense, "dense_tol": tol_dense,
-        "single_stage_max_err": err_single, "single_stage_tol": tol_single,
-    }
+        err("single_stage", np.max(np.abs(out.astype(np.float64) - ref.astype(np.float64))))
+    return 2 * per_suite, {}
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +309,12 @@ def _layer_objective(x, params, cfg, cot) -> float:
     return float((out.astype(np.float64) * cot).sum())
 
 
-@_suite("gradients", 180.0)
-def check_gradients(seed, cases):
+@_suite("gradients", 180.0, f64=1e-6, f32=1e-2)
+def check_gradients(seed, cases, err):
     """Analytic layer backward vs central finite differences."""
     n_cases = 25 if cases is None else cases
-    tol64, tol32 = 1e-6, 1e-2
     step = 1e-5
     g = philox(seed, 2)
-    err64 = err32 = 0.0
     geoms = [(2, 2), (3, 3), (2, 4), (4, 2), (3, 5), (4, 4), (5, 3)]
     for i in range(n_cases):
         H, W = geoms[i % len(geoms)]
@@ -342,7 +338,6 @@ def check_gradients(seed, cases):
         grads = s3a_backward(cot.astype(x.dtype), saved)
 
         targets = [("x", x64)] + [(k, a) for k, a in vars(params64).items() if a is not None]
-        worst = 0.0
         for name, ref_tensor in targets:
             if name == "x":
                 fd = fd_gradient(lambda t: _layer_objective(t, params64, cfg, cot), ref_tensor, step)
@@ -352,25 +347,16 @@ def check_gradients(seed, cases):
                     ref_tensor, step,
                 )
             analytic = grads[f"grad_{name}"].astype(np.float64)
-            rel = float(np.max(np.abs(analytic - fd)) / (np.max(np.abs(fd)) + 1e-12))
-            worst = max(worst, rel)
-        if single:
-            err32 = max(err32, worst)
-        else:
-            err64 = max(err64, worst)
-    passed = err64 <= tol64 and err32 <= tol32
-    return passed, n_cases, err64, tol64, {
-        "max_rel_err_f64": err64, "tol_f64": tol64, "max_rel_err_f32": err32, "tol_f32": tol32,
-        "fd_step": step,
-    }
+            err("f32" if single else "f64", np.max(np.abs(analytic - fd)) / (np.max(np.abs(fd)) + 1e-12))
+    return n_cases, {"fd_step": step}
 
 
 # ---------------------------------------------------------------------------
 # criterion: lattice and stochasticity properties
 
 
-@_suite("lattice", 60.0)
-def check_lattice(seed, cases):
+@_suite("lattice", 60.0, failures=0)
+def check_lattice(seed, cases, err):
     """Legality, cardinality constancy, interior symmetry, oracle agreement."""
     n_cases = 500 if cases is None else cases
     g = philox(seed, 3)
@@ -391,16 +377,16 @@ def check_lattice(seed, cases):
         counts = {len(clamped_lattice(c, side, k, d)) for c in range(side)}
         ok &= len(counts) == 1
         failures += 0 if ok else 1
-    return failures == 0, n_cases, float(failures), 0.0, {"failures": failures}
+    err("failures", failures)
+    return n_cases, {}
 
 
-@_suite("normalization", 60.0)
-def check_normalization(seed, cases):
+@_suite("normalization", 60.0, row_sum=1e-6, outside_unit=0)
+def check_normalization(seed, cases, err):
     """Attention rows sum to one and stay inside [0, 1]."""
     n_cases = 500 if cases is None else cases
-    tol = 1e-6
     g = philox(seed, 4)
-    rows, max_dev, bound_ok = 0, 0.0, True
+    rows = 0
     while rows < n_cases:
         heads = int(g.integers(1, 4))
         H, W = int(g.integers(1, 9)), int(g.integers(1, 9))
@@ -413,19 +399,19 @@ def check_normalization(seed, cases):
         v = g.normal(size=(heads, H, W, dh)).astype(dtype)
         _, saved = kernel_forward(q, kk, v, NeighborhoodSpec((k, k), (d, d)))
         attn = saved.attn.astype(np.float64)
-        max_dev = max(max_dev, float(np.max(np.abs(attn.sum(axis=-1) - 1.0))))
-        bound_ok &= bool(attn.min() >= 0.0 and attn.max() <= 1.0 + tol)
+        err("row_sum", np.max(np.abs(attn.sum(axis=-1) - 1.0)))
+        # entries outside [0, 1 + 1e-6], a NaN among them
+        err("outside_unit", np.count_nonzero(~((attn >= 0.0) & (attn <= 1.0 + 1e-6))))
         rows += heads * H * W
-    return max_dev <= tol and bound_ok, rows, max_dev, tol, {"rows": rows, "entries_in_unit_interval": bound_ok}
+    return rows, {"rows": rows}
 
 
-@_suite("equivariance", 60.0)
-def check_equivariance(seed, cases):
+@_suite("equivariance", 60.0, shift=1e-6)
+def check_equivariance(seed, cases, err):
     """Translated inputs give translated outputs on interior lattices."""
     n_cases = 500 if cases is None else cases
-    tol = 1e-6
     g = philox(seed, 5)
-    compared, max_err = 0, 0.0
+    compared = 0
     while compared < n_cases:
         heads = int(g.integers(1, 3))
         dh = int(g.integers(2, 5))
@@ -452,10 +438,9 @@ def check_equivariance(seed, cases):
             for j in range(W):
                 if j - r * d < 0 or j + r * d >= W - sw:
                     continue
-                delta = np.abs(out2[:, i + sh, j + sw, :] - out1[:, i, j, :])
-                max_err = max(max_err, float(delta.max()))
+                err("shift", np.max(np.abs(out2[:, i + sh, j + sw, :] - out1[:, i, j, :])))
                 compared += 1
-    return max_err <= tol, compared, max_err, tol, {"queries_compared": compared}
+    return compared, {"queries_compared": compared}
 
 
 # ---------------------------------------------------------------------------
@@ -479,42 +464,35 @@ def tiny_config(name: str = "tiny", **overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
-@_suite("identity", 30.0)
-def check_identity(seed, cases):
+@_suite("identity", 30.0, deviation=0, bad_geometries=0)
+def check_identity(seed, cases, err):
     """Zero-parameter blocks are exact identities; model shapes hold."""
     g = philox(seed, 6)
-    max_dev = 0.0
-    runs = 0
-    for C, H, W, lce in [(4, 5, 7, True), (6, 3, 3, False), (8, 1, 9, True), (2, 6, 6, True)]:
+    blocks = [(4, 5, 7, True), (6, 3, 3, False), (8, 1, 9, True), (2, 6, 6, True)]
+    for C, H, W, lce in blocks:
         cfg = S3AConfig(channels=C, heads=1, window=3, anchors=3, stride=1, lce=lce)
         x = g.normal(size=(C, H, W))
-        z = ssvit_block(x, _zero_block(cfg), cfg)
-        max_dev = max(max_dev, float(np.max(np.abs(z - x))))
-        runs += 1
+        err("deviation", np.max(np.abs(ssvit_block(x, _zero_block(cfg), cfg) - x)))
 
     cfg = tiny_config()
     params = build_model(cfg, Rng(seed + 7))
     geometries = [(32, 32), (32, 36), (36, 32), (40, 56), (64, 64),
                   (32, 128), (128, 32), (96, 48), (44, 76), (60, 100)]
-    shape_ok = True
-    for H, W in geometries:
-        logits = model_forward(g.normal(size=(3, H, W)).astype(np.float32), params, cfg)
-        shape_ok &= logits.shape == (cfg.classes,) and bool(np.isfinite(logits).all())
-        runs += 1
-    passed = max_dev == 0.0 and shape_ok
-    return passed, runs, max_dev, 0.0, {"geometries": len(geometries), "shape_ok": shape_ok}
+    logits = [model_forward(g.normal(size=(3, H, W)).astype(np.float32), params, cfg) for H, W in geometries]
+    err("bad_geometries", sum(z.shape != (cfg.classes,) or not np.isfinite(z).all() for z in logits))
+    return len(blocks) + len(geometries), {"geometries": len(geometries)}
 
 
 # ---------------------------------------------------------------------------
 # criterion: format round-trips
 
 
-@_suite("io", 30.0)
-def check_io(seed, cases):
+@_suite("io", 30.0, failures=0)
+def check_io(seed, cases, err):
     """Bitwise tensor/checkpoint round trips; corruption raises named errors."""
     n_tensors = 100 if cases is None else cases
     g = philox(seed, 8)
-    ok = True
+    failures = 0
     detail: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.sst")
@@ -525,8 +503,7 @@ def check_io(seed, cases):
             arr = g.normal(size=shape).astype(dtype)
             save_tensor(path, arr)
             back = load_tensor(path)
-            ok &= back.dtype == arr.dtype and back.shape == arr.shape
-            ok &= back.tobytes() == arr.tobytes()
+            failures += back.dtype != arr.dtype or back.shape != arr.shape or back.tobytes() != arr.tobytes()
         detail["tensor_round_trips"] = n_tensors
 
         ckpt_ok = 0
@@ -542,7 +519,7 @@ def check_io(seed, cases):
             for (n1, a1), (n2, a2) in zip(param_items(params), param_items(params2)):
                 same &= n1 == n2 and a1.tobytes() == a2.tobytes() and a1.dtype == a2.dtype
             ckpt_ok += int(same)
-        ok &= ckpt_ok == 2
+        failures += 2 - ckpt_ok
         detail["checkpoint_round_trips"] = ckpt_ok
 
         # corruption must surface as the specific named error
@@ -570,9 +547,10 @@ def check_io(seed, cases):
                 named[label] = err_type.__name__
             except SSAttnError as exc:
                 named[label] = f"wrong error {type(exc).__name__}"
-        ok &= all(named[label] == err_type.__name__ for label, (_, _, err_type) in corruptions.items())
+        failures += sum(named[label] != err_type.__name__ for label, (_, _, err_type) in corruptions.items())
         detail["corruption_errors"] = named
-    return ok, n_tensors + 2 + len(corruptions), None, None, detail
+    err("failures", failures)
+    return n_tensors + 2 + len(corruptions), detail
 
 
 def run_checks(
@@ -582,7 +560,9 @@ def run_checks(
 
     Every name is checked before the first suite runs.
     """
-    names = list(CHECKS) if not names else names
+    if isinstance(names, str) or not isinstance(names, Iterable | None):
+        raise ConfigError(f"names must be a list of suite names, got {names!r}")
+    names = list(names or CHECKS)
     for name in names:
         if name not in CHECKS:
             raise ConfigError(f"unknown check {name!r}; known: {sorted(CHECKS)}")

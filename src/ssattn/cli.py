@@ -116,13 +116,9 @@ def _cmd_check(args, parser) -> int:
     }
     _emit(doc, args.out)
     for r in results:
+        bounds = ", ".join(f"{k} {b['max_err']:.3g} tol {b['tol']:g}" for k, b in r.bounds.items())
         status = "PASS" if r.passed else "FAIL"
-        err = "n/a" if r.max_err is None else f"{r.max_err:.3e}"
-        tol = "n/a" if r.tol is None else f"{r.tol:.0e}"
-        print(
-            f"[{status}] {r.name}: max_err {err} tol {tol} ({r.cases} cases, {r.seconds:.2f}s)",
-            file=sys.stderr,
-        )
+        print(f"[{status}] {r.name}: {bounds} ({r.cases} cases, {r.seconds:.2f}s)", file=sys.stderr)
     return 0 if all_passed else 1
 
 

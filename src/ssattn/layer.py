@@ -141,7 +141,7 @@ def _flat_padded(x: np.ndarray, kh: int, kw: int) -> tuple[np.ndarray, int]:
     row end, are dropped. The spare zero row keeps the last tap's slice in bounds.
     """
     xp = _padded(x, kh, kw, (kh // 2, kw // 2), spare_rows=1)
-    return xp.reshape(x.shape[0], -1), xp.shape[2]
+    return xp.reshape(x.shape[0], xp.shape[1] * xp.shape[2]), xp.shape[2]
 
 
 def _depthwise_taps(x: np.ndarray, filt: np.ndarray) -> np.ndarray:

@@ -36,6 +36,11 @@ def record(num, title, passed, seconds, budget, detail):
     assert seconds < budget, line
 
 
+def bounds(r) -> str:
+    """Each of a suite's bounds as `label err tol t`, read from its result."""
+    return ", ".join(f"{k} {b['max_err']:.3g} tol {b['tol']:g}" for k, b in r.bounds.items())
+
+
 def test_criterion_1_parameter_reproduction():
     r = check_params()
     counts = ", ".join(
@@ -44,10 +49,10 @@ def test_criterion_1_parameter_reproduction():
     record(
         1,
         "parameter reproduction",
-        r.passed and r.max_err <= 0.10,
+        r.passed and r.bounds["rel_dev"]["max_err"] <= 0.10,
         r.seconds,
         1.0,
-        f"all four presets within 10% of 15M/27M/57M/100M ({counts})",
+        f"all four presets within 10% of 15M/27M/57M/100M ({counts}); {bounds(r)}",
     )
 
 
@@ -73,8 +78,7 @@ def test_criterion_3_oracle_equivalence():
         r.passed and r.cases >= 200,
         r.seconds,
         120.0,
-        f"{r.cases} randomized configs, max err f64 {r.detail['max_err_f64']:.2e}"
-        f" (tol 1e-6), f32 {r.detail['max_err_f32']:.2e} (tol 1e-4)",
+        f"{r.cases} randomized configs, max err {bounds(r)}",
     )
 
 
@@ -86,9 +90,7 @@ def test_criterion_4_degenerate_equivalences():
         r.passed and r.cases >= 40,
         r.seconds,
         30.0,
-        f"dense max err {r.detail['dense_max_err']:.2e} (tol 1e-5), "
-        f"single-stage max err {r.detail['single_stage_max_err']:.2e} (tol 1e-6), "
-        f"{r.cases} instances",
+        f"max err {bounds(r)}, {r.cases} instances",
     )
 
 
@@ -100,8 +102,7 @@ def test_criterion_5_gradient_fidelity():
         r.passed and r.cases >= 25,
         r.seconds,
         180.0,
-        f"{r.cases} configs, rel err f64 {r.detail['max_rel_err_f64']:.2e} (tol 1e-6,"
-        f" step 1e-5), f32 {r.detail['max_rel_err_f32']:.2e} (tol 1e-2)",
+        f"{r.cases} configs, rel err {bounds(r)}, step {r.detail['fd_step']:g}",
     )
 
 
@@ -124,8 +125,8 @@ def test_criterion_6_lattice_property_suite():
         passed,
         seconds,
         60.0,
-        f"lattice {lat.cases} cases, row sums {norm.cases} rows (1 +/- 1e-6), "
-        f"shift equivariance {eq.cases} queries (tol 1e-6)",
+        f"lattice {lat.cases} cases ({bounds(lat)}), {norm.cases} rows ({bounds(norm)}), "
+        f"{eq.cases} queries ({bounds(eq)})",
     )
 
 

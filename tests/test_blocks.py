@@ -25,7 +25,7 @@ from ssattn.blocks import (
     ssvit_block,
     stem_forward,
 )
-from ssattn.errors import ConfigError, DTypeError, NumericError, ShapeError
+from ssattn.errors import ConfigError, DTypeError, NumericError, ShapeError, SizeError
 from ssattn.layer import S3AConfig, S3AParams, depthwise_forward
 from ssattn.oracle import oracle_s3a
 from ssattn.tensor import Rng, ShapeOnly
@@ -274,6 +274,9 @@ def test_conv2d_shape_guards():
     for b in (np.zeros(1), np.zeros((3, 1)), np.zeros(())):  # b is not [Cout]
         with pytest.raises(ShapeError, match=r"^conv2d: b has shape .*, expected \(3,\)$"):
             conv2d(np.zeros((2, 4, 4)), np.zeros((3, 2, 3, 3)), b=b)
+    for channels in (2, 0):  # a padded map past the address space
+        with pytest.raises(SizeError, match="overflows the address space$"):
+            conv2d(np.zeros((channels, 4, 4)), np.zeros((3, channels, 3, 3)), padding=2**40)
 
 
 @pytest.mark.parametrize("stride, padding", [(-1, 0), (0, 0), (1, -1), (2.5, 0), (1, 1.5), (True, 0), (1, False)])
@@ -393,6 +396,8 @@ def test_ffn_rejects_a_parameter_of_another_dtype(field):
 def test_ffn_rejects_an_input_that_is_not_a_map():
     with pytest.raises(ShapeError, match=r"^ffn_forward expects x \[C,H,W\] and w1 \[h,C\], got \(4, 6\), "):
         ffn_forward(np.zeros((4, 6), dtype=np.float32), init_ffn_params(4, Rng(3)))
+    for shape in ((4, 0, 3), (4, 3, 0)):  # an empty map is a map: its result is empty
+        assert ffn_forward(np.zeros(shape, dtype=np.float32), init_ffn_params(4, Rng(3))).shape == shape
 
 
 @pytest.mark.parametrize("field", ["bn_scale", "bn_shift"])

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ssattn.kernel as kernel_mod
+from ssattn import checks
 from ssattn.bench import SCOPE_NOTE
 from ssattn.checks import CHECKS, run_checks, tiny_config
 from ssattn.cli import build_parser, main
@@ -22,11 +23,20 @@ from ssattn.model import build_model, config_to_dict, model_forward, param_items
 from ssattn.tensor import Rng
 
 
+def strict_json(text):
+    """Parse text as strict JSON, which has no NaN or Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"non-finite constant {constant} in JSON output")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run_cli(capsys, argv, expect_rc=0):
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == expect_rc, captured.err
-    return json.loads(captured.out), captured.err
+    return strict_json(captured.out), captured.err
 
 
 def write_tiny_config(tmp_path, **overrides):
@@ -188,6 +198,9 @@ def test_check_rejects_nonpositive_cases(capsys):
             run_checks(["params"], cases=cases)
     with pytest.raises(ConfigError):
         run_checks(["nope"])
+    for names in ("oracle", "", 5):  # a string is not a list of names
+        with pytest.raises(ConfigError, match=f"got {names!r}$"):
+            run_checks(names)
 
 
 @pytest.fixture
@@ -217,21 +230,43 @@ def skew_lattice(monkeypatch):
 
 
 def assert_oracle_check_fails(capsys):
+    """Run the oracle suite through the CLI, expect it to fail, and return
+    the labels of the bounds its FAIL line shows over their tolerance."""
     rc = main(["check", "--suite", "oracle", "--cases", "8"])
     captured = capsys.readouterr()
     assert rc == 1
-    doc = json.loads(captured.out)
+    doc = strict_json(captured.out)
     assert doc["passed"] is False
     (result,) = doc["results"]
     assert result["name"] == "oracle"
     assert result["passed"] is False
-    assert "[FAIL] oracle" in captured.err
+    (line,) = [ln for ln in captured.err.splitlines() if ln.startswith("[FAIL] oracle: ")]
+    over = {k for k, err, tol in re.findall(r"(\w+) (\S+) tol ([^,\s]+)", line) if not float(err) <= float(tol)}
+    assert over, line
+    assert over == {k for k, b in result["bounds"].items() if not float(b["max_err"]) <= b["tol"]}
+    return over
 
 
 def test_check_detects_mutated_lattice(skew_lattice, capsys):
     # a deliberate off-by-one in the fast path must trip the oracle suite
     skew_lattice()
     assert_oracle_check_fails(capsys)
+
+
+@pytest.mark.parametrize("fault, over", [
+    (lambda out: out + np.float32(1e-3) if out.dtype == np.float32 else out, {"f32"}),
+    (lambda out: np.full_like(out, np.nan), {"f64", "f32"}),
+])
+def test_check_fail_line_shows_the_bound_a_fault_breaks(monkeypatch, capsys, fault, over):
+    # an f32-only offset must show the f32 error, and a NaN must fail and still print strict JSON
+    forward = checks.s3a_forward
+
+    def faulty(*args):
+        out, saved = forward(*args)
+        return fault(out), saved
+
+    monkeypatch.setattr(checks, "s3a_forward", faulty)
+    assert assert_oracle_check_fails(capsys) == over
 
 
 def test_check_detects_mutated_lattice_after_the_same_run_warmed_the_cache(skew_lattice, capsys):

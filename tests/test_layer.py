@@ -318,6 +318,9 @@ def test_depthwise_shape_guards():
         depthwise_forward(np.zeros((6, 6)), filt[:1], bias[:1])  # x is not [C, H, W]
     with pytest.raises(ShapeError):
         depthwise_backward(np.zeros((3, 6, 5)), x, filt)  # cotangent shape != x shape
+    empty = np.zeros((0, 6, 6))  # no channels: empty results, not a reshape error
+    assert depthwise_forward(empty, filt[:0], bias[:0]).shape == empty.shape
+    assert [t.shape for t in depthwise_backward(empty, empty, filt[:0])] == [empty.shape, (0, 3, 3), (0,)]
 
 
 # ---------------------------------------------------------------------------
