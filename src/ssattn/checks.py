@@ -556,13 +556,15 @@ def check_io(seed, cases, err):
 def run_checks(
     names: list[str] | None = None, seed: int = 0, cases: int | None = None
 ) -> list[CheckResult]:
-    """Run the named suites (all by default) and collect their results.
+    """Run the named suites (all for None) and collect their results.
 
-    Every name is checked before the first suite runs.
+    Every name is checked before the first suite runs; an empty list is refused.
     """
     if isinstance(names, str) or not isinstance(names, Iterable | None):
         raise ConfigError(f"names must be a list of suite names, got {names!r}")
-    names = list(names or CHECKS)
+    names = list(CHECKS if names is None else names)
+    if not names:
+        raise ConfigError("names must name at least one suite; None runs them all")
     for name in names:
         if name not in CHECKS:
             raise ConfigError(f"unknown check {name!r}; known: {sorted(CHECKS)}")

@@ -123,8 +123,8 @@ def _cmd_check(args, parser) -> int:
 
 
 def _cmd_bench(args, parser) -> int:
-    sc = bench_scaling(args.repeats, args.seed)
-    doc = {"command": "bench", "repeats": args.repeats, "seed": args.seed, "scaling": sc, "note": SCOPE_NOTE}
+    sc = bench_scaling()
+    doc = {"command": "bench", "scaling": sc, "note": SCOPE_NOTE}
     _emit(doc, args.out)
     print(
         f"scaling envelope {sc['per_token_envelope']:.3f} (bound {sc['envelope_bound']}): "
@@ -179,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--out", default=None)
 
     p_bench = sub.add_parser("bench", help="the per-token scaling envelope of one S3A layer")
-    p_bench.add_argument("--repeats", type=_int_arg("repeats", 3), default=5)
-    p_bench.add_argument("--seed", type=_int_arg("seed", 0), default=0)
     p_bench.add_argument("--out", default=None)
 
     p_infer = sub.add_parser("infer", help="run a checkpoint on a tensor file")

@@ -81,6 +81,11 @@ def resolved_strides(cfg: S3AConfig, H: int, W: int) -> tuple[int, int]:
     return cfg.stride
 
 
+def sweep_specs(cfg: S3AConfig, H: int, W: int) -> tuple[NeighborhoodSpec, NeighborhoodSpec]:
+    """The layer's two sweeps on an H x W map: the local window, then the strided anchors."""
+    return NeighborhoodSpec(cfg.window), NeighborhoodSpec(cfg.anchors, resolved_strides(cfg, H, W))
+
+
 @dataclass
 class S3AParams:
     """Learnable tensors of one layer. LCE fields are None when disabled."""
@@ -256,10 +261,8 @@ def s3a_forward(
     lce = depthwise_forward(v.reshape(C, H, W), params.lce_filt, params.lce_bias) if cfg.lce else None
     del qkv, q, k, v
 
-    spec1 = NeighborhoodSpec(cfg.window)
+    spec1, spec2 = sweep_specs(cfg, H, W)
     out1, saved1 = kernel_forward(qh, kh, vh, spec1)
-
-    spec2 = NeighborhoodSpec(cfg.anchors, resolved_strides(cfg, H, W))
     out2, saved2 = kernel_forward(qh, kh, out1, spec2)
 
     attn_out = _merge_heads(out2)
@@ -340,6 +343,4 @@ def s3a_flops(cfg: S3AConfig, H: int, W: int) -> int:
 def s3a_attention_flops(cfg: S3AConfig, H: int, W: int) -> int:
     """The neighborhood-attention share of s3a_flops (both stages)."""
     heads, dh = cfg.heads, cfg.head_dim
-    spec1 = NeighborhoodSpec(cfg.window)
-    spec2 = NeighborhoodSpec(cfg.anchors, resolved_strides(cfg, H, W))
-    return kernel_flops(H, W, heads, dh, spec1) + kernel_flops(H, W, heads, dh, spec2)
+    return sum(kernel_flops(H, W, heads, dh, spec) for spec in sweep_specs(cfg, H, W))

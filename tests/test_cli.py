@@ -1,10 +1,12 @@
 """End-to-end command-line behavior: describe, check, bench, infer."""
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import re
 import shlex
+import types
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ssattn.kernel as kernel_mod
-from ssattn import checks
+from ssattn import bench, checks
 from ssattn.bench import SCOPE_NOTE
 from ssattn.checks import CHECKS, run_checks, tiny_config
 from ssattn.cli import build_parser, main
@@ -93,7 +95,8 @@ def test_describe_config_file_with_overrides(tmp_path, capsys):
     ["describe", "--resolution", "3"],
     ["describe", "--resolution", "-4"],
     ["describe", "--resolution", "34"],
-    ["bench", "--seed", "-1"],
+    ["bench", "--seed", "1"],
+    ["bench", "--repeats", "3"],
     ["bench", "--resolution", "64"],
     ["bench", "--dtype", "f64"],
     ["check", "--suite", "oracle", "--seed", "-5"],
@@ -282,28 +285,71 @@ def test_check_detects_mutated_lattice_after_the_same_run_warmed_the_cache(skew_
 
 def test_bench_emits_well_formed_report(capsys):
     # the exit code only has to agree with the envelope: criterion 9 is the one wall-clock gate
-    rc = main(["bench", "--repeats", "3", "--seed", "1"])
+    rc = main(["bench"])
     captured = capsys.readouterr()
     doc, err = json.loads(captured.out), captured.err
     assert rc == (0 if doc["scaling"]["within_envelope"] else 1), err
+    assert set(doc) == {"command", "scaling", "note"}
     assert doc["command"] == "bench"
-    assert doc["repeats"] == 3
-    assert set(doc) == {"command", "repeats", "seed", "scaling", "note"}
     scaling = doc["scaling"]
     assert [p["side"] for p in scaling["points"]] == [56, 28, 14]
     for p in scaling["points"]:
-        assert p["per_token_s"] > 0
+        assert p["per_token_s"] > 0 and 0 < p["min_s"] <= p["median_s"] <= p["max_s"]
     assert scaling["envelope_bound"] == 2.0
     assert scaling["per_token_envelope"] >= 1.0
     assert doc["note"] == SCOPE_NOTE
     assert "envelope" in err
 
 
-def test_bench_rejects_too_few_repeats(capsys):
+def _stub_gate(monkeypatch, per_token, slow=lambda side, rnd: 1.0):
+    """Stub the gate's layer and clock, so no wall clock is read.
+
+    A forward on a side x side map advances the clock by per_token[side]
+    seconds per token, times slow(side, rnd) in timed round rnd.
+    """
+    clock, calls = [0.0], dict.fromkeys(bench.SCALING_SIDES, 0)
+
+    def forward(x, params, cfg):
+        side = x.shape[-1]
+        rnd = calls[side] - bench.SCALING_ROUNDS  # negative in the untimed rounds
+        calls[side] += 1
+        clock[0] += per_token[side] * side * side * (slow(side, rnd) if rnd >= 0 else 1.0)
+
+    monkeypatch.setattr(bench, "s3a_forward", forward)
+    monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    return calls
+
+
+EVEN = dict.fromkeys(bench.SCALING_SIDES, 1e-6)
+
+
+def test_a_burst_over_4_of_the_9_timed_rounds_leaves_the_envelope(monkeypatch):
+    calls = _stub_gate(monkeypatch, EVEN)
+    calm = bench.bench_scaling()
+    assert calls == dict.fromkeys(bench.SCALING_SIDES, 2 * 9)  # 9 untimed rounds, then 9 timed
+    _stub_gate(monkeypatch, EVEN, slow=lambda side, rnd: 3.0 if side == 56 and rnd < 4 else 1.0)
+    burst = bench.bench_scaling()
+    assert burst["within_envelope"]
+    assert burst["per_token_envelope"] == calm["per_token_envelope"] == 1.0
+    first, calm_first = burst["points"][0], calm["points"][0]
+    assert first["median_s"] == calm_first["median_s"] and first["max_s"] == pytest.approx(3 * calm_first["max_s"])
+
+
+def test_a_layer_slower_per_token_at_56_fails_the_gate(monkeypatch, capsys):
+    _stub_gate(monkeypatch, {**EVEN, 56: 2.5e-6})
+    assert main(["bench"]) == 1
+    captured = capsys.readouterr()
+    scaling = json.loads(captured.out)["scaling"]
+    assert not scaling["within_envelope"] and scaling["per_token_envelope"] == pytest.approx(2.5)
+    assert "EXCEEDED" in captured.err
+
+
+def test_bench_options_are_out_only(capsys):
+    assert not inspect.signature(bench.bench_scaling).parameters
     with pytest.raises(SystemExit) as exc:
-        main(["bench", "--repeats", "2"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+        main(["bench", "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--\w+", capsys.readouterr().out)) == {"--help", "--out"}
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,12 @@ an int or a numpy integer, never a bool, float, str or None, and refuses
 anything else with that entry point's named SSAttnError."""
 from dataclasses import asdict
 from typing import Callable, NamedTuple
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssattn import bench
 from ssattn.blocks import conv2d
 from ssattn.checks import CheckResult, check_lattice, tiny_config
 from ssattn.errors import ConfigError, EmptyDomainError, ShapeError, SizeError, SSAttnError
@@ -35,16 +33,6 @@ class Entry(NamedTuple):
 
 def _conv(stride=1, padding=0):
     return conv2d(np.ones((2, 6, 6)), np.ones((3, 2, 3, 3)), stride=stride, padding=padding)
-
-
-def _untimed():
-    # the timing loop is stubbed out: only argument handling is under test
-    return mock.patch.object(bench, "_time_rounds", lambda fns, n: [[1e-3] * 3 for _ in fns])
-
-
-def _scaling(repeats, seed=0):
-    with _untimed():
-        return bench.bench_scaling(repeats=repeats, seed=seed)
 
 
 TINY = tiny_config()
@@ -94,8 +82,6 @@ ENTRIES = {
     "philox.stream": Entry(lambda v: philox(5, v), 3, ConfigError, -3, ConfigError),
     "check_lattice.cases": Entry(lambda v: check_lattice(cases=v), 3, ConfigError, 0, ConfigError, (None, 3), True),
     "check_lattice.seed": Entry(lambda v: check_lattice(seed=v, cases=2), 4, ConfigError, -1, ConfigError),
-    "bench_scaling.repeats": Entry(_scaling, 3, ConfigError, 2, ConfigError),
-    "bench_scaling.seed": Entry(lambda v: _scaling(3, v), 2, ConfigError, -1, ConfigError),
 }
 
 NON_INTEGERS = [True, 2.5, "3", None, np.float64(3)]
@@ -150,7 +136,6 @@ def test_a_numpy_integer_gives_the_int_result(name):
     (lambda: kernel_flops(5.5, 5, 2, 4, SPEC), ConfigError),
     (lambda: kernel_flops(5, 5, -2, 4, SPEC), ConfigError),
     (lambda: Rng(0).normal((2.5, 3)), SizeError),
-    (lambda: bench.bench_scaling(repeats=3.5), ConfigError),
     (lambda: philox(1, 0.5), ConfigError),
     (lambda: check_input_sides(64.0, 64), ShapeError),
     (lambda: S3AConfig(channels=np.int64(64), heads=2) == S3AConfig(64, 2) or None, None),

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ssattn import Rng
-from ssattn.bench import bench_scaling
 from ssattn.blocks import conv2d, ffn_forward, gelu, init_ffn_params, layernorm, stem_forward
 from ssattn.checks import run_checks, tiny_config
 from ssattn.errors import ConfigError, DTypeError, SizeError
@@ -63,8 +62,6 @@ def test_negative_seed_is_config_error_through_the_python_api():
         build_model(cfg, Rng(-1))
     with pytest.raises(ConfigError):
         run_checks(["identity"], seed=-7)
-    with pytest.raises(ConfigError):
-        bench_scaling(seed=-1)  # its streams are seed + 30 and seed + 31
 
 
 @pytest.mark.parametrize("seed", [1.5, True, "3", None, 2.0, np.float64(4.0)])
