@@ -48,10 +48,10 @@ def test_registry_order_is_shared_by_run_checks_budgets_and_readme(results):
     assert re.findall(r"`(\w+)`", listed) == list(CHECKS)
 
 
-def test_an_empty_selection_is_refused_not_read_as_all():
-    for empty in ([], (), iter([])):
-        with pytest.raises(ConfigError, match="at least one suite"):
-            run_checks(empty, cases=1)
+@pytest.mark.parametrize("empty", [[], (), iter([])], ids=["list", "tuple", "iterator"])
+def test_an_empty_selection_is_refused_not_read_as_all(empty):
+    with pytest.raises(ConfigError, match="at least one suite"):
+        run_checks(empty, cases=1)
 
 
 @pytest.mark.parametrize("name", list(CHECKS))

@@ -323,25 +323,47 @@ def _stub_gate(monkeypatch, per_token, slow=lambda side, rnd: 1.0):
 EVEN = dict.fromkeys(bench.SCALING_SIDES, 1e-6)
 
 
-def test_a_burst_over_4_of_the_9_timed_rounds_leaves_the_envelope(monkeypatch):
+@pytest.mark.parametrize("side", bench.SCALING_SIDES)
+def test_a_burst_over_4_of_the_9_timed_rounds_leaves_the_envelope(monkeypatch, side):
     calls = _stub_gate(monkeypatch, EVEN)
     calm = bench.bench_scaling()
     assert calls == dict.fromkeys(bench.SCALING_SIDES, 2 * 9)  # 9 untimed rounds, then 9 timed
-    _stub_gate(monkeypatch, EVEN, slow=lambda side, rnd: 3.0 if side == 56 and rnd < 4 else 1.0)
+    _stub_gate(monkeypatch, EVEN, slow=lambda s, rnd: 3.0 if s == side and rnd < 4 else 1.0)
     burst = bench.bench_scaling()
     assert burst["within_envelope"]
     assert burst["per_token_envelope"] == calm["per_token_envelope"] == 1.0
-    first, calm_first = burst["points"][0], calm["points"][0]
-    assert first["median_s"] == calm_first["median_s"] and first["max_s"] == pytest.approx(3 * calm_first["max_s"])
+    i = bench.SCALING_SIDES.index(side)
+    hit, calm_hit = burst["points"][i], calm["points"][i]
+    assert hit["median_s"] == calm_hit["median_s"] and hit["max_s"] == pytest.approx(3 * calm_hit["max_s"])
 
 
-def test_a_layer_slower_per_token_at_56_fails_the_gate(monkeypatch, capsys):
-    _stub_gate(monkeypatch, {**EVEN, 56: 2.5e-6})
+@pytest.mark.parametrize("side", bench.SCALING_SIDES)
+def test_a_burst_over_5_of_the_9_timed_rounds_moves_the_median(monkeypatch, side):
+    # the statistic's limit: a majority of the timed rounds is the layer's time
+    _stub_gate(monkeypatch, EVEN, slow=lambda s, rnd: 3.0 if s == side and rnd % 2 == 0 else 1.0)
+    burst = bench.bench_scaling()
+    assert not burst["within_envelope"] and burst["per_token_envelope"] == pytest.approx(3.0)
+    hit = burst["points"][bench.SCALING_SIDES.index(side)]
+    assert hit["min_s"] * 3 == pytest.approx(hit["median_s"]) == hit["max_s"]
+
+
+@pytest.mark.parametrize("side", bench.SCALING_SIDES)
+def test_a_layer_slower_per_token_at_one_size_fails_the_gate(monkeypatch, capsys, side):
+    _stub_gate(monkeypatch, {**EVEN, side: 2.5e-6})
     assert main(["bench"]) == 1
     captured = capsys.readouterr()
     scaling = json.loads(captured.out)["scaling"]
     assert not scaling["within_envelope"] and scaling["per_token_envelope"] == pytest.approx(2.5)
     assert "EXCEEDED" in captured.err
+
+
+@pytest.mark.parametrize("ratio, rc", [(2.0, 0), (2.0 + 2.0**-9, 1)])
+def test_the_gate_holds_an_envelope_of_exactly_the_bound(monkeypatch, capsys, ratio, rc):
+    # per-token times of powers of two keep the stubbed clock exact
+    _stub_gate(monkeypatch, {**dict.fromkeys(bench.SCALING_SIDES, 2.0**-20), 28: ratio * 2.0**-20})
+    assert main(["bench"]) == rc
+    scaling = json.loads(capsys.readouterr().out)["scaling"]
+    assert scaling["within_envelope"] == (rc == 0) and scaling["per_token_envelope"] == round(ratio, 4)
 
 
 def test_bench_options_are_out_only(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ssattn.errors import ConfigError, DTypeError, ShapeError
-from ssattn.kernel import effective_kernel
+from ssattn.kernel import NeighborhoodSpec, effective_kernel, kernel_flops
 from ssattn.layer import (
     S3AConfig,
     S3AParams,
@@ -18,6 +18,7 @@ from ssattn.layer import (
     s3a_backward,
     s3a_flops,
     s3a_forward,
+    sweep_specs,
 )
 from ssattn.oracle import dense_attention, oracle_lce, oracle_s3a
 from ssattn.tensor import Rng, ShapeOnly
@@ -114,6 +115,18 @@ def test_resolved_strides_per_axis():
     fixed = S3AConfig(channels=8, heads=2, stride=(2, 5))
     assert resolved_strides(fixed, 100, 100) == (2, 5)
     assert resolved_strides(S3AConfig(channels=8, heads=2, stride=3), 999, 7) == (3, 3)
+
+
+@pytest.mark.parametrize("kwargs, H, W, window, anchors", [
+    ({}, 56, 56, NeighborhoodSpec(3), NeighborhoodSpec(7, 8)),
+    ({"window": (3, 5), "anchors": (7, 3), "stride": (2, 4)}, 13, 9, NeighborhoodSpec((3, 5)), NeighborhoodSpec((7, 3), (2, 4))),
+    ({"anchors": 7}, 5, 56, NeighborhoodSpec(3), NeighborhoodSpec(7, (1, 8))),
+])
+def test_sweep_specs_are_the_window_then_the_strided_anchors(kwargs, H, W, window, anchors):
+    cfg = S3AConfig(channels=8, heads=2, **kwargs)
+    assert sweep_specs(cfg, H, W) == (window, anchors)
+    # the MAC count sums the kernel over exactly these two sweeps
+    assert s3a_attention_flops(cfg, H, W) == sum(kernel_flops(H, W, 2, 4, spec) for spec in (window, anchors))
 
 
 def test_effective_anchor_counts_shrink_on_small_maps():
