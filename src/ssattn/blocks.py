@@ -45,6 +45,7 @@ LN_EPS = 1e-6
 CPE_KERNEL = 3
 FFN_RATIO = 3
 STEM_STRIDES = (2, 1, 1, 2)  # overall stride 4
+STEM_IN_CHANNELS = 3  # an RGB image
 _SQRT2 = float(np.sqrt(2.0))
 
 # float32 GELU: elements per in-place chunk (five float32 buffers of it
@@ -198,9 +199,9 @@ class CpeParams:
 
 @dataclass
 class FfnParams:
-    w1: np.ndarray  # [rC, C]
-    b1: np.ndarray  # [rC]
-    w2: np.ndarray  # [C, rC]
+    w1: np.ndarray  # [3C, C]
+    b1: np.ndarray  # [3C]
+    w2: np.ndarray  # [C, 3C]
     b2: np.ndarray  # [C]
 
 
@@ -256,8 +257,8 @@ def init_cpe_params(channels: int, rng: Rng) -> CpeParams:
     )
 
 
-def init_ffn_params(channels: int, rng: Rng, ratio: int = FFN_RATIO) -> FfnParams:
-    hidden = ratio * channels
+def init_ffn_params(channels: int, rng: Rng) -> FfnParams:
+    hidden = FFN_RATIO * channels
     return FfnParams(
         w1=rng.normal((hidden, channels), std=INIT_STD),
         b1=rng.full(hidden, 0.0),
@@ -266,22 +267,22 @@ def init_ffn_params(channels: int, rng: Rng, ratio: int = FFN_RATIO) -> FfnParam
     )
 
 
-def init_block_params(cfg: S3AConfig, rng: Rng, ratio: int = FFN_RATIO) -> BlockParams:
+def init_block_params(cfg: S3AConfig, rng: Rng) -> BlockParams:
     C = cfg.channels
     return BlockParams(
         cpe=init_cpe_params(C, rng),
         ln1=init_ln_params(C, rng),
         s3a=init_s3a_params(cfg, rng),
         ln2=init_ln_params(C, rng),
-        ffn=init_ffn_params(C, rng, ratio=ratio),
+        ffn=init_ffn_params(C, rng),
     )
 
 
-def init_stem_params(out_channels: int, rng: Rng, in_channels: int = 3) -> StemParams:
+def init_stem_params(out_channels: int, rng: Rng) -> StemParams:
     if out_channels % 2:
         raise ConfigError(f"stem output channels must be even, got {out_channels}")
     mid = out_channels // 2
-    widths = [(in_channels, mid), (mid, mid), (mid, mid), (mid, out_channels)]
+    widths = [(STEM_IN_CHANNELS, mid), (mid, mid), (mid, mid), (mid, out_channels)]
     convs = [
         ConvBnParams(
             w=rng.normal((co, ci, 3, 3), std=INIT_STD),

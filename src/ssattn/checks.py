@@ -136,11 +136,11 @@ def _suite(name: str, budget: float, **tols: float):
 def _random_layer(cfg: S3AConfig, g: np.random.Generator, dtype, spread: float = 0.35) -> S3AParams:
     """Layer parameters with random weights AND biases, drawn in field order, for stress tests."""
     shapes = s3a_param_shapes(cfg).items()
-    return S3AParams(**{k: None if s is None else g.normal(0.0, spread, size=s).astype(dtype) for k, s in shapes})
+    return S3AParams(**{k: g.normal(0.0, spread, size=s).astype(dtype) for k, s in shapes})
 
 
 def _cast_layer(params: S3AParams, dtype) -> S3AParams:
-    return S3AParams(**{k: None if a is None else a.astype(dtype) for k, a in vars(params).items()})
+    return S3AParams(**{k: a.astype(dtype) for k, a in vars(params).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +207,8 @@ def check_oracle(seed, cases, err):
         window = int(g.choice([1, 3, 5]))
         anchors = int(g.choice([1, 3, 5, 7]))
         stride = [1, 2, 3, "auto"][int(g.integers(0, 4))]
-        lce = bool(g.integers(0, 2))
         dtype = np.float64 if i % 2 == 0 else np.float32
-        cfg = S3AConfig(channels=C, heads=heads, window=window, anchors=anchors, stride=stride, lce=lce)
+        cfg = S3AConfig(channels=C, heads=heads, window=window, anchors=anchors, stride=stride)
         params = _random_layer(cfg, g, dtype)
         x = g.normal(0.0, 1.0, size=(C, H, W)).astype(dtype)
         out, _ = s3a_forward(x, params, cfg)
@@ -231,12 +230,10 @@ def _dense_route(x: np.ndarray, params: S3AParams, cfg: S3AConfig) -> np.ndarray
     merged = dense_attention(x, wq, wk, wv, scale=dh**-0.5, heads=cfg.heads, bq=bq, bk=bk, bv=bv)
     out = params.w_out.astype(np.float64) @ merged.reshape(C, H * W)
     out = out + params.b_out.astype(np.float64)[:, None]
-    if cfg.lce:
-        v = wv.astype(np.float64) @ x.astype(np.float64).reshape(C, H * W)
-        v = v + bv.astype(np.float64)[:, None]
-        lce = oracle_lce(v.reshape(C, H, W), params.lce_filt, params.lce_bias)
-        out = out + lce.reshape(C, H * W)
-    return out.reshape(C, H, W)
+    v = wv.astype(np.float64) @ x.astype(np.float64).reshape(C, H * W)
+    v = v + bv.astype(np.float64)[:, None]
+    lce = oracle_lce(v.reshape(C, H, W), params.lce_filt, params.lce_bias)
+    return (out + lce.reshape(C, H * W)).reshape(C, H, W)
 
 
 def _single_stage_route(x: np.ndarray, params: S3AParams, cfg: S3AConfig) -> np.ndarray:
@@ -255,10 +252,8 @@ def _single_stage_route(x: np.ndarray, params: S3AParams, cfg: S3AConfig) -> np.
     out, _ = kernel_forward(heads_of(q), heads_of(k), heads_of(v), spec)
     merged = out.transpose(0, 3, 1, 2).reshape(C, H * W)
     y = params.w_out @ merged + params.b_out[:, None]
-    if cfg.lce:
-        lce = depthwise_forward(v.reshape(C, H, W), params.lce_filt, params.lce_bias)
-        y = y + lce.reshape(C, H * W)
-    return y.reshape(C, H, W)
+    lce = depthwise_forward(v.reshape(C, H, W), params.lce_filt, params.lce_bias)
+    return (y + lce.reshape(C, H * W)).reshape(C, H, W)
 
 
 @_suite("degeneracy", 30.0, dense=1e-5, single_stage=1e-6)
@@ -275,8 +270,7 @@ def check_degeneracy(seed, cases, err):
         heads = int(g.choice([h for h in (1, 2) if C % h == 0]))
         dtype = np.float64 if i % 3 else np.float32
         window = max(H, W) if max(H, W) % 2 else max(H, W) + 1
-        cfg = S3AConfig(channels=C, heads=heads, window=window, anchors=1,
-                        stride=1, lce=bool(g.integers(0, 2)))
+        cfg = S3AConfig(channels=C, heads=heads, window=window, anchors=1, stride=1)
         params = _random_layer(cfg, g, dtype)
         x = g.normal(0.0, 1.0, size=(C, H, W)).astype(dtype)
         out, _ = s3a_forward(x, params, cfg)
@@ -290,8 +284,7 @@ def check_degeneracy(seed, cases, err):
         dtype = np.float64 if i % 3 else np.float32
         anchors = int(g.choice([3, 5, 7]))
         stride = [1, 2, "auto"][int(g.integers(0, 3))]
-        cfg = S3AConfig(channels=C, heads=heads, window=1, anchors=anchors,
-                        stride=stride, lce=bool(g.integers(0, 2)))
+        cfg = S3AConfig(channels=C, heads=heads, window=1, anchors=anchors, stride=stride)
         params = _random_layer(cfg, g, dtype)
         x = g.normal(0.0, 1.0, size=(C, H, W)).astype(dtype)
         out, _ = s3a_forward(x, params, cfg)
@@ -323,9 +316,8 @@ def check_gradients(seed, cases, err):
         window = int(g.choice([1, 3]))
         anchors = int(g.choice([1, 3]))
         stride = [1, 2, "auto"][i % 3]
-        lce = i % 2 == 0
         single = i % 5 == 0  # every fifth case runs in single precision
-        cfg = S3AConfig(channels=C, heads=heads, window=window, anchors=anchors, stride=stride, lce=lce)
+        cfg = S3AConfig(channels=C, heads=heads, window=window, anchors=anchors, stride=stride)
         params64 = _random_layer(cfg, g, np.float64, spread=0.4)
         x64 = g.normal(0.0, 1.0, size=(C, H, W))
         cot = g.normal(0.0, 1.0, size=(C, H, W))
@@ -337,7 +329,7 @@ def check_gradients(seed, cases, err):
         out, saved = s3a_forward(x, params, cfg)
         grads = s3a_backward(cot.astype(x.dtype), saved)
 
-        targets = [("x", x64)] + [(k, a) for k, a in vars(params64).items() if a is not None]
+        targets = [("x", x64), *vars(params64).items()]
         for name, ref_tensor in targets:
             if name == "x":
                 fd = fd_gradient(lambda t: _layer_objective(t, params64, cfg, cot), ref_tensor, step)
@@ -468,9 +460,9 @@ def tiny_config(name: str = "tiny", **overrides) -> ModelConfig:
 def check_identity(seed, cases, err):
     """Zero-parameter blocks are exact identities; model shapes hold."""
     g = philox(seed, 6)
-    blocks = [(4, 5, 7, True), (6, 3, 3, False), (8, 1, 9, True), (2, 6, 6, True)]
-    for C, H, W, lce in blocks:
-        cfg = S3AConfig(channels=C, heads=1, window=3, anchors=3, stride=1, lce=lce)
+    blocks = [(4, 5, 7), (6, 3, 3), (8, 1, 9), (2, 6, 6)]
+    for C, H, W in blocks:
+        cfg = S3AConfig(channels=C, heads=1, window=3, anchors=3, stride=1)
         x = g.normal(size=(C, H, W))
         err("deviation", np.max(np.abs(ssvit_block(x, _zero_block(cfg), cfg) - x)))
 
@@ -509,7 +501,7 @@ def check_io(seed, cases, err):
         ckpt_ok = 0
         for j, cfg in enumerate([
             tiny_config(),
-            tiny_config(name="tiny-alt", window=1, anchors=3, stride=2, lce=False, classes=3),
+            tiny_config(name="tiny-alt", blocks=(2, 1, 1, 2), classes=3),
         ]):
             params = build_model(cfg, Rng(seed + 20 + j, np.float64 if j else np.float32))
             cpath = os.path.join(tmp, f"m{j}.ssc")

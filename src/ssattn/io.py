@@ -1,9 +1,10 @@
 """Binary tensor and checkpoint file formats.
 
 Tensor file ("SSA1"): a 4-byte magic, a little-endian u32 header
-length, a JSON header {"dtype": "f32"|"f64", "shape": [...]}, then the
-raw payload — little-endian scalars in row-major order. The payload
-byte length must equal product(shape) * scalar size exactly.
+length, a JSON header {"dtype": "f32"|"f64", "shape": [...]} with
+exactly these two keys, then the raw payload — little-endian scalars in
+row-major order. The payload byte length must equal product(shape) *
+scalar size exactly.
 
 Checkpoint ("SSC1"): a 4-byte magic, then one length-prefixed (u64
 little-endian) tensor-file blob per parameter, then a JSON manifest
@@ -11,9 +12,10 @@ little-endian) tensor-file blob per parameter, then a JSON manifest
 length as u64 little-endian, so a reader can locate the manifest from
 the end of the file. `names` lists one parameter path per blob, in
 order, with no repeats. The reader takes only version 1 manifests with
-exactly these three keys, so a file it accepts is written back byte for
-byte. A model checkpoint's `meta` holds exactly the model configuration
-and the dtype tag.
+exactly these three keys, so saving what it accepts writes the same keys
+and values back, re-encoded compactly; JSON whitespace in a header or
+manifest is not kept. A model checkpoint's `meta` holds exactly the
+model configuration and the dtype tag.
 
 Both formats are platform-independent (endianness is fixed) and all
 writes are atomic: content goes to a temporary file in the same
@@ -27,7 +29,6 @@ payload straight into it, so no buffer of the whole file exists.
 """
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -138,10 +139,13 @@ def _read_tensor(fh: BinaryIO, size: int) -> np.ndarray:
         header = json.loads(_read_exact(fh, header_len, "tensor header"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
         raise FormatError(f"tensor header is not valid JSON: {exc}") from None
-    tag = header.get("dtype") if isinstance(header, dict) else None
+    # exactly the writer's keys: a key the reader would not act on (an "order", say) is refused
+    if not isinstance(header, dict) or header.keys() != {"dtype", "shape"}:
+        raise FormatError(f"tensor header keys malformed: {header!r:.200}")
+    tag = header["dtype"]
     if not isinstance(tag, str) or tag not in _DTYPE_TAGS:
-        raise FormatError(f"tensor header malformed: {header!r}")
-    shape = header.get("shape")
+        raise FormatError(f"tensor dtype malformed: {tag!r:.200}")
+    shape = header["shape"]
     if not isinstance(shape, list):
         raise FormatError(f"tensor shape malformed: {shape!r}")
     shape = [check_int(s, "tensor extent", 0, FormatError) for s in shape]
@@ -160,11 +164,6 @@ def _read_tensor(fh: BinaryIO, size: int) -> np.ndarray:
     if got != expected:  # the data ended early: the array is never returned half-filled
         raise TruncatedPayloadError(f"payload holds {got} bytes, header promises {expected}")
     return arr if arr.dtype.isnative else arr.astype(DTYPES[tag])
-
-
-def tensor_from_bytes(blob: bytes) -> np.ndarray:
-    """Decode one SSA1 blob; the returned array is the only copy of its payload."""
-    return _read_tensor(io.BytesIO(blob), len(blob))
 
 
 @contextmanager
@@ -257,7 +256,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
             manifest = json.loads(_read_exact(fh, manifest_len, "manifest"))
         except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
             raise ManifestError(f"manifest is not valid JSON: {exc}") from None
-        # only what save_checkpoint writes is read: a file loads back to its own bytes
+        # only what save_checkpoint writes is read
         if not isinstance(manifest, dict) or manifest.keys() != {"version", "names", "meta"}:
             raise ManifestError(f"manifest keys malformed: {manifest!r:.200}")
         if type(manifest["version"]) is not int or manifest["version"] != _MANIFEST_VERSION:

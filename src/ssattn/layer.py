@@ -55,13 +55,10 @@ class S3AConfig:
     window: int | tuple[int, int] = 3
     anchors: int | tuple[int, int] = 7
     stride: int | str | tuple[int, int] = "auto"
-    lce: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "channels", check_int(self.channels, "channels"))
         object.__setattr__(self, "heads", check_int(self.heads, "heads"))
-        if not isinstance(self.lce, bool):
-            raise ConfigError(f"lce must be a bool, got {self.lce!r}")
         if self.channels % self.heads:
             raise ConfigError(f"channels {self.channels} not divisible by heads {self.heads}")
         object.__setattr__(self, "window", _pair(self.window, "window", odd=True))
@@ -88,27 +85,27 @@ def sweep_specs(cfg: S3AConfig, H: int, W: int) -> tuple[NeighborhoodSpec, Neigh
 
 @dataclass
 class S3AParams:
-    """Learnable tensors of one layer. LCE fields are None when disabled."""
+    """Learnable tensors of one layer."""
 
     w_qkv: np.ndarray  # [3C, C]
     b_qkv: np.ndarray  # [3C]
     w_out: np.ndarray  # [C, C]
     b_out: np.ndarray  # [C]
-    lce_filt: np.ndarray | None = None  # [C, 5, 5]
-    lce_bias: np.ndarray | None = None  # [C]
+    lce_filt: np.ndarray  # [C, 5, 5]
+    lce_bias: np.ndarray  # [C]
 
 
-def s3a_param_shapes(cfg: S3AConfig) -> dict[str, tuple[int, ...] | None]:
-    """The shape of every S3AParams field under cfg, in field order; None where absent."""
-    C, lce = cfg.channels, cfg.lce
+def s3a_param_shapes(cfg: S3AConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every S3AParams field under cfg, in field order."""
+    C = cfg.channels
     return {"w_qkv": (3 * C, C), "b_qkv": (3 * C,), "w_out": (C, C), "b_out": (C,),
-            "lce_filt": (C, LCE_KERNEL, LCE_KERNEL) if lce else None, "lce_bias": (C,) if lce else None}
+            "lce_filt": (C, LCE_KERNEL, LCE_KERNEL), "lce_bias": (C,)}
 
 
 def init_s3a_params(cfg: S3AConfig, rng: Rng) -> S3AParams:
     """Weights (two or more axes) ~ normal(0, 0.02), biases zero, drawn in field order."""
     return S3AParams(**{
-        k: None if s is None else rng.normal(s, std=INIT_STD) if len(s) > 1 else rng.full(s, 0.0)
+        k: rng.normal(s, std=INIT_STD) if len(s) > 1 else rng.full(s, 0.0)
         for k, s in s3a_param_shapes(cfg).items()
     })
 
@@ -258,7 +255,7 @@ def s3a_forward(
     kh *= x.dtype.type(cfg.head_dim**-0.5)
     vh = np.ascontiguousarray(_split_heads(v, heads, H, W))
     # the LCE branch reads v last, so the [3C, HW] projection is freed before the sweeps
-    lce = depthwise_forward(v.reshape(C, H, W), params.lce_filt, params.lce_bias) if cfg.lce else None
+    lce = depthwise_forward(v.reshape(C, H, W), params.lce_filt, params.lce_bias)
     del qkv, q, k, v
 
     spec1, spec2 = sweep_specs(cfg, H, W)
@@ -268,8 +265,7 @@ def s3a_forward(
     attn_out = _merge_heads(out2)
     out = params.w_out @ attn_out
     out += params.b_out[:, None]
-    if lce is not None:
-        out += lce.reshape(C, H * W)
+    out += lce.reshape(C, H * W)
 
     saved = S3ASaved(cfg=cfg, x=x, attn_out=attn_out, saved1=saved1, saved2=saved2, params=params)
     return out.reshape(C, H, W), saved
@@ -309,13 +305,12 @@ def s3a_backward(grad_out: np.ndarray, saved: S3ASaved) -> dict[str, np.ndarray]
     dk *= saved.x.dtype.type(cfg.head_dim**-0.5)
     dv[...] = b1.pop("grad_v")
 
-    if cfg.lce:
-        v = _merge_heads(saved.saved1.v).reshape(C, H, W)
-        dx_lce, grads["grad_lce_filt"], grads["grad_lce_bias"] = depthwise_backward(
-            g.reshape(C, H, W), v, params.lce_filt
-        )
-        dv_map = d_qkv[2 * C :].reshape(C, H, W)
-        dv_map += dx_lce
+    v = _merge_heads(saved.saved1.v).reshape(C, H, W)
+    dx_lce, grads["grad_lce_filt"], grads["grad_lce_bias"] = depthwise_backward(
+        g.reshape(C, H, W), v, params.lce_filt
+    )
+    dv_map = d_qkv[2 * C :].reshape(C, H, W)
+    dv_map += dx_lce
 
     grads["grad_w_qkv"] = d_qkv @ xf.T
     grads["grad_b_qkv"] = d_qkv.sum(axis=1)
@@ -327,10 +322,10 @@ def weight_macs(tensors, sites: int) -> int:
     """The MAC rule: each tensor with two or more axes costs its size per output site.
 
     That is a weight's multiply-accumulates for any dense or depthwise
-    convolution or linear map; biases, norms and scales (one axis) and
-    None entries (a disabled LCE branch) cost nothing.
+    convolution or linear map; biases, norms and scales (one axis) cost
+    nothing.
     """
-    return sites * sum(t.size for t in tensors if t is not None and t.ndim >= 2)
+    return sites * sum(t.size for t in tensors if t.ndim >= 2)
 
 
 def s3a_flops(cfg: S3AConfig, H: int, W: int) -> int:

@@ -3,9 +3,12 @@
 A model is a convolutional stem (overall stride 4), four stages of
 sparse-scan attention blocks with dense stride-2 downsampling between
 them, and a classification head (layer-norm, global average pool,
-linear). Channel width doubles roughly per stage; every stage uses the
-same window/anchor geometry, with the anchor stride resolved per axis
-from the stage's own feature-map size when left on `auto`.
+linear). Channel width doubles roughly per stage. The variants differ
+only in depth, width and heads per stage: every S3A layer has the
+default `S3AConfig` geometry (3x3 window, 7x7 anchors, the anchor
+stride resolved per axis from the stage's own feature-map size) and its
+LCE branch, every FFN expands by `FFN_RATIO`, and the stem takes a
+`STEM_IN_CHANNELS`-channel image.
 
 `_walk` steps through a parameter tree by `count_flops` path (stem,
 stageN.blockM, downsampleN, head): `model_forward` runs the steps,
@@ -24,6 +27,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from .blocks import (
+    STEM_IN_CHANNELS,
     STEM_STRIDES,
     BlockParams,
     DownsampleParams,
@@ -48,19 +52,13 @@ NUM_STAGES = 4
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """One backbone variant; `window`, `anchors`, `stride` and `lce` apply to every stage."""
+    """One backbone variant: per-stage depth, width and heads, and the class count."""
 
     name: str
     blocks: tuple[int, int, int, int]
     channels: tuple[int, int, int, int]
     heads: tuple[int, int, int, int]
-    ffn_ratio: int = 3
-    window: int | tuple[int, int] = 3
-    anchors: int | tuple[int, int] = 7
-    stride: int | str | tuple[int, int] = "auto"
-    lce: bool = True
     classes: int = 1000
-    in_channels: int = 3
 
     def __post_init__(self):
         if not isinstance(self.name, str):
@@ -70,21 +68,15 @@ class ModelConfig:
             if not isinstance(value, (tuple, list)) or len(value) != NUM_STAGES:
                 raise ConfigError(f"{field_name} must have {NUM_STAGES} entries, got {value!r}")
             object.__setattr__(self, field_name, tuple(check_int(v, field_name) for v in value))
-        for field_name in ("ffn_ratio", "classes", "in_channels"):
-            object.__setattr__(self, field_name, check_int(getattr(self, field_name), field_name))
+        object.__setattr__(self, "classes", check_int(self.classes, "classes"))
         if any(a >= b for a, b in zip(self.channels, self.channels[1:])):
             raise ConfigError(f"channels must strictly increase, got {self.channels}")
         for i in range(NUM_STAGES):
-            s3a = self.stage_s3a(i)  # surface bad heads/window/anchors/stride/lce now
-        # a list or array geometry is kept as its validated pair, so configs hash and compare;
-        # an int or "auto" stays as given, which keeps config_to_dict and config_hash unchanged
-        for field_name in ("window", "anchors", "stride"):
-            if not isinstance(getattr(self, field_name), (int, np.integer, str)):
-                object.__setattr__(self, field_name, getattr(s3a, field_name))
+            self.stage_s3a(i)  # surface heads that do not divide the channels now
 
     def stage_s3a(self, i: int) -> S3AConfig:
         """Attention configuration of stage i (0-based)."""
-        return S3AConfig(self.channels[i], self.heads[i], self.window, self.anchors, self.stride, self.lce)
+        return S3AConfig(self.channels[i], self.heads[i])
 
 
 MODEL_PRESETS: dict[str, ModelConfig] = {
@@ -118,11 +110,9 @@ class ModelParams:
 def build_model(cfg: ModelConfig, rng: Rng | ShapeOnly) -> ModelParams:
     """Initialize every tensor of the backbone in rng's dtype; with ShapeOnly, only their shapes."""
     _check_type("build_model", cfg=(cfg, ModelConfig), rng=(rng, (Rng, ShapeOnly)))
-    stem = init_stem_params(cfg.channels[0], rng, in_channels=cfg.in_channels)
-    stages = [
-        [init_block_params(cfg.stage_s3a(i), rng, ratio=cfg.ffn_ratio) for _ in range(cfg.blocks[i])]
-        for i in range(NUM_STAGES)
-    ]
+    stem = init_stem_params(cfg.channels[0], rng)
+    stages = [[init_block_params(cfg.stage_s3a(i), rng) for _ in range(cfg.blocks[i])]
+              for i in range(NUM_STAGES)]
     downsamples = [
         init_downsample_params(cfg.channels[i], cfg.channels[i + 1], rng)
         for i in range(NUM_STAGES - 1)
@@ -189,7 +179,7 @@ def _walk(cfg: ModelConfig | None, params: ModelParams, H: int, W: int):
 
 
 def model_forward(x: np.ndarray, params: ModelParams, cfg: ModelConfig) -> np.ndarray:
-    """Classify one [in_channels, H, W] image; returns [classes] logits.
+    """Classify one [3, H, W] image; returns [classes] logits.
 
     The sides must pass `check_input_sides`. The image must be finite
     and have the parameters' dtype; it is never cast. A `params` or `cfg`
@@ -200,8 +190,8 @@ def model_forward(x: np.ndarray, params: ModelParams, cfg: ModelConfig) -> np.nd
     _check_type("model_forward", params=(params, ModelParams), cfg=(cfg, ModelConfig))
     check_float_dtypes("model_forward", weights=params.head.w,
                        **{"input image": x, "head bias": params.head.b})
-    if x.ndim != 3 or x.shape[0] != cfg.in_channels:
-        raise ShapeError(f"expected [{cfg.in_channels}, H, W] input, got shape {x.shape}")
+    if x.ndim != 3 or x.shape[0] != STEM_IN_CHANNELS:
+        raise ShapeError(f"expected [{STEM_IN_CHANNELS}, H, W] input, got shape {x.shape}")
     check_input_sides(x.shape[1], x.shape[2])
     if not np.isfinite(x).all():
         raise NumericError("input image contains NaN or Inf")
@@ -258,15 +248,15 @@ def _slots(prefix: str, node) -> list[tuple[str, object, str]]:
     """(path, owner, field) of every tensor field under a parameter dataclass.
 
     Fields come in declaration order and a field's path extends `prefix`
-    by its name; None fields (a disabled LCE branch) are skipped. Every
-    listing of, and every write to, a model's tensors goes through here.
+    by its name. Every listing of, and every write to, a model's tensors
+    goes through here.
     """
     slots = []
     for f in fields(node):
         path, value = f"{prefix}.{f.name}", getattr(node, f.name)
         if isinstance(value, np.ndarray):
             slots.append((path, node, f.name))
-        elif value is not None:
+        else:
             slots += _slots(path, value)
     return slots
 
@@ -319,22 +309,10 @@ def load_state(params: ModelParams, tensors: dict[str, np.ndarray]) -> None:
         setattr(owner, name, tensors[path])
 
 
-def _jsonable(value):
-    if isinstance(value, np.integer):  # a numpy-int window, anchor count or stride
-        return int(value)
-    return list(value) if isinstance(value, tuple) else value  # tuples hold plain ints
-
-
 def config_to_dict(cfg: ModelConfig) -> dict:
-    """JSON-friendly form of a configuration (tuples become lists, numpy ints become ints)."""
+    """JSON-friendly form of a configuration (its tuples of plain ints become lists)."""
     _check_type("config_to_dict", cfg=(cfg, ModelConfig))
-    return {f.name: _jsonable(getattr(cfg, f.name)) for f in fields(cfg)}
-
-
-def _detuple(value):
-    if isinstance(value, list):
-        return tuple(_detuple(v) for v in value)
-    return value
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(cfg).items()}
 
 
 def config_from_dict(d: dict) -> ModelConfig:
@@ -348,8 +326,8 @@ def config_from_dict(d: dict) -> ModelConfig:
     if missing:
         raise ConfigError(f"config missing keys {sorted(missing)}")
     try:
-        return ModelConfig(**{k: _detuple(v) for k, v in d.items()})
-    except RecursionError:  # from _detuple, or from the repr in a ConfigError
+        return ModelConfig(**d)
+    except RecursionError:  # from the repr of a deeply nested value in a ConfigError
         raise ConfigError("config values nest too deeply") from None
 
 

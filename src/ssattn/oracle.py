@@ -127,10 +127,8 @@ def oracle_s3a(x: np.ndarray, params, cfg) -> np.ndarray:
     merged = out2.transpose(0, 3, 1, 2).reshape(C, H * W)
     w_out = params.w_out.astype(np.float64)
     out = w_out @ merged + params.b_out.astype(np.float64)[:, None]
-    if cfg.lce:
-        lce = oracle_lce(v.reshape(C, H, W), params.lce_filt, params.lce_bias)
-        out = out + lce.reshape(C, H * W)
-    return out.reshape(C, H, W)
+    lce = oracle_lce(v.reshape(C, H, W), params.lce_filt, params.lce_bias)
+    return (out + lce.reshape(C, H * W)).reshape(C, H, W)
 
 
 def dense_attention(

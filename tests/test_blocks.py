@@ -310,16 +310,13 @@ def test_ffn_on_zero_input_is_bias_chain():
     assert np.abs(out - want[:, None, None]).max() < 1e-12
 
 
-def zero_block(C, lce=True):
+def zero_block(C):
     z = lambda *s: np.zeros(s)
-    s3a = S3AParams(w_qkv=z(3 * C, C), b_qkv=z(3 * C), w_out=z(C, C), b_out=z(C))
-    if lce:
-        s3a.lce_filt = z(C, 5, 5)
-        s3a.lce_bias = z(C)
     return BlockParams(
         cpe=CpeParams(filt=z(C, 3, 3), bias=z(C)),
         ln1=LnParams(scale=z(C), shift=z(C)),
-        s3a=s3a,
+        s3a=S3AParams(w_qkv=z(3 * C, C), b_qkv=z(3 * C), w_out=z(C, C), b_out=z(C),
+                      lce_filt=z(C, 5, 5), lce_bias=z(C)),
         ln2=LnParams(scale=z(C), shift=z(C)),
         ffn=FfnParams(w1=z(3 * C, C), b1=z(3 * C), w2=z(C, 3 * C), b2=z(C)),
     )

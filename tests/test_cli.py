@@ -84,11 +84,22 @@ def test_describe_resolution_scaling(capsys):
 
 
 def test_describe_config_file_with_overrides(tmp_path, capsys):
-    _, path = write_tiny_config(tmp_path, window=5, lce=False)
+    _, path = write_tiny_config(tmp_path, blocks=(2, 1, 1, 1), classes=5)
     doc, _ = run_cli(capsys, ["describe", path])
-    assert doc["config"]["window"] == 5
-    assert doc["config"]["lce"] is False
-    assert doc["config"]["name"] == "tiny"
+    assert doc["config"] == {"name": "tiny", "blocks": [2, 1, 1, 1], "channels": [8, 16, 32, 64],
+                             "heads": [1, 2, 4, 8], "classes": 5}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("ffn_ratio", 3), ("window", 3), ("anchors", 7), ("stride", "auto"), ("lce", True), ("in_channels", 3),
+])
+def test_describe_of_a_config_naming_a_removed_setting_fails_cleanly(tmp_path, capsys, key, value):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({**config_to_dict(tiny_config()), key: value}))
+    assert main(["describe", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown config keys ['{key}']" in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -64,10 +64,9 @@ ENTRIES = {
         lambda v: ModelConfig("x", **{**BLOCKS, "blocks": (1, v, 1, 1)}), 2, ConfigError, 0, ConfigError),
     "ModelConfig.heads": Entry(
         lambda v: ModelConfig("x", **{**BLOCKS, "heads": (1, 2, v, 8)}), 4, ConfigError, -4, ConfigError),
-    "ModelConfig.ffn_ratio": Entry(lambda v: ModelConfig("x", **BLOCKS, ffn_ratio=v), 3, ConfigError, 0, ConfigError),
+    "ModelConfig.channels": Entry(
+        lambda v: ModelConfig("x", **{**BLOCKS, "channels": (8, 16, v, 64)}), 32, ConfigError, 0, ConfigError),
     "get_config.classes": Entry(lambda v: get_config("ssvit-t", classes=v), 10, ConfigError, 0, ConfigError),
-    "get_config.in_channels": Entry(lambda v: get_config("ssvit-t", in_channels=v), 1, ConfigError, -3, ConfigError),
-    "get_config.window": Entry(lambda v: get_config("ssvit-t", window=v), 5, ConfigError, -1, ConfigError),
     "count_flops.H": Entry(lambda v: count_flops(TINY, v, 64), 64, ConfigError, 0, ConfigError),
     "count_flops.W": Entry(lambda v: count_flops(TINY, 64, v), 36, ConfigError, -8, ConfigError),
     "check_input_sides.H": Entry(lambda v: check_input_sides(v, 64), 64, ShapeError, 28, ShapeError),
@@ -184,11 +183,10 @@ def test_odd_extents_are_checked_after_the_rule():
 def test_the_counts_a_config_stores_are_plain_ints():
     cfg = S3AConfig(channels=np.int64(64), heads=np.int32(2))
     assert type(cfg.channels) is int and type(cfg.heads) is int and cfg == S3AConfig(64, 2)
-    mcfg = get_config("ssvit-t", classes=np.int64(10), window=np.int64(5))
-    assert type(mcfg.classes) is int and mcfg == get_config("ssvit-t", classes=10, window=5)
-    assert config_hash(mcfg) == config_hash(get_config("ssvit-t", classes=10, window=5))
-    for window in ([np.int64(5), 5], np.array([5, 5])):  # written as the int pair
-        assert config_hash(get_config("ssvit-t", window=window)) == config_hash(get_config("ssvit-t", window=(5, 5)))
+    mcfg = get_config("ssvit-t", classes=np.int64(10), blocks=[1, np.int32(2), 1, 1])
+    plain = get_config("ssvit-t", classes=10, blocks=(1, 2, 1, 1))
+    assert type(mcfg.classes) is int and all(type(b) is int for b in mcfg.blocks) and mcfg == plain
+    assert config_hash(mcfg) == config_hash(plain)
     assert type(kernel_flops(np.int64(5), 5, 2, 4, SPEC)) is int
 
 

@@ -2,6 +2,7 @@
 import io
 import json
 import os
+import re
 import struct
 import tracemalloc
 
@@ -35,7 +36,6 @@ from ssattn.io import (
     save_checkpoint,
     save_model_checkpoint,
     save_tensor,
-    tensor_from_bytes,
     tensor_to_bytes,
 )
 from ssattn.model import build_model, config_to_dict, param_items
@@ -46,9 +46,16 @@ def gen(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def header_blob(dtype_tag, shape, payload):
-    header = json.dumps({"dtype": dtype_tag, "shape": list(shape)}).encode()
+def header_blob(dtype_tag, shape, payload, **extra):
+    header = json.dumps({"dtype": dtype_tag, "shape": list(shape), **extra}).encode()
     return TENSOR_MAGIC + struct.pack("<I", len(header)) + header + payload
+
+
+def decode(tmp_path, blob):
+    """Decode SSA1 bytes as bytes from elsewhere are read: written to a file, then load_tensor."""
+    path = tmp_path / "blob.ssa"
+    path.write_bytes(blob)
+    return load_tensor(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -69,10 +76,10 @@ def test_tensor_round_trip_preserves_bytes_and_dtype(tmp_path):
         assert back.tobytes() == arr.tobytes()
 
 
-def test_tensor_round_trip_handles_non_contiguous_views():
+def test_tensor_round_trip_handles_non_contiguous_views(tmp_path):
     arr = gen(111).normal(size=(4, 6)).astype(np.float32)
     view = arr.T
-    back = tensor_from_bytes(tensor_to_bytes(view))
+    back = decode(tmp_path, tensor_to_bytes(view))
     assert back.shape == view.shape
     assert np.array_equal(back, view)
     assert back.flags["C_CONTIGUOUS"]
@@ -84,18 +91,18 @@ def test_saving_a_non_array_is_a_format_error(tmp_path):
     assert not os.listdir(tmp_path)
 
 
-def test_tensor_rejects_bad_magic():
+def test_tensor_rejects_bad_magic(tmp_path):
     blob = tensor_to_bytes(np.zeros((2, 2), dtype=np.float32))
     with pytest.raises(MagicError):
-        tensor_from_bytes(b"XXXX" + blob[4:])
+        decode(tmp_path, b"XXXX" + blob[4:])
 
 
-def test_tensor_rejects_truncation():
+def test_tensor_rejects_truncation(tmp_path):
     blob = tensor_to_bytes(np.arange(4, dtype=np.float32).reshape(2, 2))
     with pytest.raises(TruncatedPayloadError):
-        tensor_from_bytes(blob[:-1])
+        decode(tmp_path, blob[:-1])
     with pytest.raises(TruncatedPayloadError):
-        tensor_from_bytes(blob[:6])  # inside the header length field
+        decode(tmp_path, blob[:6])  # inside the header length field
     with pytest.raises(TruncatedPayloadError):  # the data ends before the size it was given
         _read_tensor(io.BytesIO(blob[:-3]), len(blob))
 
@@ -114,48 +121,64 @@ def test_a_directory_is_a_format_error_and_a_missing_path_an_os_error(tmp_path):
             loader(str(tmp_path / "missing"))
 
 
-def test_tensor_header_payload_disagreement():
+def test_tensor_header_payload_disagreement(tmp_path):
     four = np.arange(4, dtype=np.float32).tobytes()
     three = np.arange(3, dtype=np.float32).tobytes()
     five = np.arange(5, dtype=np.float32).tobytes()
     good = header_blob("f32", (2, 2), four)
-    assert tensor_from_bytes(good).shape == (2, 2)
+    assert decode(tmp_path, good).shape == (2, 2)
     with pytest.raises(TruncatedPayloadError):
-        tensor_from_bytes(header_blob("f32", (2, 2), three))
+        decode(tmp_path, header_blob("f32", (2, 2), three))
     with pytest.raises(PayloadSizeError):
-        tensor_from_bytes(header_blob("f32", (2, 2), five))
+        decode(tmp_path, header_blob("f32", (2, 2), five))
 
 
-def test_tensor_rejects_malformed_headers():
+def test_tensor_rejects_malformed_headers(tmp_path):
     four = np.arange(4, dtype=np.float32).tobytes()
     bad_json = TENSOR_MAGIC + struct.pack("<I", 5) + b"{oops" + four
     with pytest.raises(FormatError):
-        tensor_from_bytes(bad_json)
+        decode(tmp_path, bad_json)
     with pytest.raises(FormatError):
-        tensor_from_bytes(header_blob("f16", (2, 2), four))
+        decode(tmp_path, header_blob("f16", (2, 2), four))
     with pytest.raises(FormatError):
-        tensor_from_bytes(header_blob("f32", (2, -2), four))
+        decode(tmp_path, header_blob("f32", (2, -2), four))
+
+
+def test_tensor_header_with_a_key_the_writer_never_writes_is_a_format_error(tmp_path):
+    # an "order" the reader ignored would load a Fortran-order payload as C order
+    six = np.arange(6, dtype=np.float32).tobytes()
+    message = "tensor header keys malformed: {'dtype': 'f32', 'shape': [2, 3], 'order': 'F'}"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        decode(tmp_path, header_blob("f32", (2, 3), six, order="F"))
+
+
+@pytest.mark.parametrize("header", [{"shape": [2, 3]}, {"dtype": "f32"}, {}], ids=["no-dtype", "no-shape", "empty"])
+def test_tensor_header_missing_a_key_is_a_format_error(tmp_path, header):
+    text = json.dumps(header).encode()
+    blob = TENSOR_MAGIC + struct.pack("<I", len(text)) + text + np.arange(6, dtype=np.float32).tobytes()
+    with pytest.raises(FormatError, match="^tensor header keys malformed: "):
+        decode(tmp_path, blob)
 
 
 @pytest.mark.parametrize(
     "header", [b"[" * 100_000, b'{"dtype":"f32","shape":[' + b"9" * 5000 + b"]}"], ids=["deep", "5000-digit-int"]
 )
-def test_tensor_rejects_headers_the_json_parser_refuses(header):
+def test_tensor_rejects_headers_the_json_parser_refuses(tmp_path, header):
     with pytest.raises(FormatError, match="not valid JSON"):
-        tensor_from_bytes(TENSOR_MAGIC + struct.pack("<I", len(header)) + header)
+        decode(tmp_path, TENSOR_MAGIC + struct.pack("<I", len(header)) + header)
 
 
-def test_tensor_rejects_unrepresentable_shapes():
+def test_tensor_rejects_unrepresentable_shapes(tmp_path):
     four = np.arange(4, dtype=np.float32).tobytes()
     with pytest.raises(FormatError):
-        tensor_from_bytes(header_blob("f32", [True], four[:4]))
+        decode(tmp_path, header_blob("f32", [True], four[:4]))
     with pytest.raises(FormatError):
-        tensor_from_bytes(header_blob("f32", [2.0, 2], four))
+        decode(tmp_path, header_blob("f32", [2.0, 2], four))
     # the element count overflows int64; empty arrays still hit numpy's bound
     for shape in ([2**62, 4], [2**62, 0], [2**64, 0], [1] * 65):
         with pytest.raises(FormatError):
-            tensor_from_bytes(header_blob("f32", shape, four[:4]))
-    assert tensor_from_bytes(header_blob("f32", [2**40, 0], b"")).shape == (2**40, 0)
+            decode(tmp_path, header_blob("f32", shape, four[:4]))
+    assert decode(tmp_path, header_blob("f32", [2**40, 0], b"")).shape == (2**40, 0)
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
@@ -353,7 +376,7 @@ def test_model_checkpoint_load_draws_nothing(tmp_path, monkeypatch):
 
 
 def test_model_checkpoint_f64_round_trip(tmp_path):
-    cfg = tiny_config(name="tiny-alt", window=1, anchors=3, stride=2, lce=False, classes=3)
+    cfg = tiny_config(name="tiny-alt", blocks=(2, 1, 1, 2), classes=3)
     params = build_model(cfg, Rng(10, np.float64))
     path = tmp_path / "m64.ssc"
     save_model_checkpoint(str(path), cfg, params)
@@ -391,6 +414,16 @@ def test_model_checkpoint_naming_stage_overrides_is_config_error(tmp_path):
     path = tmp_path / "overrides.ssc"
     save_checkpoint(str(path), param_items(build_model(cfg, Rng(11))), meta=meta)
     with pytest.raises(ConfigError, match=r"unknown config keys \['stage_overrides'\]"):
+        load_model_checkpoint(str(path))
+
+
+def test_model_checkpoint_naming_a_removed_setting_is_config_error(tmp_path):
+    # a checkpoint written before the LCE switch was removed carries "lce" in its config
+    cfg = tiny_config()
+    meta = {"config": {**config_to_dict(cfg), "lce": True}, "dtype": "f32"}
+    path = tmp_path / "old.ssc"
+    save_checkpoint(str(path), param_items(build_model(cfg, Rng(11))), meta=meta)
+    with pytest.raises(ConfigError, match=r"^unknown config keys \['lce'\]$"):
         load_model_checkpoint(str(path))
 
 
@@ -491,16 +524,12 @@ def test_mutated_tensor_blobs_round_trip_or_raise_named_errors(tmp_path_factory,
     else:
         blob = _mutate(blob, mutation, _tensor_header_end(blob), _tensor_header_end(blob))
     path = tmp_path_factory.mktemp("mutated") / "t.ssa"
-    path.write_bytes(blob)  # a file and its bytes decode alike
+    path.write_bytes(blob)
     try:
-        back = tensor_from_bytes(blob)
-    except SSAttnError as exc:
-        with pytest.raises(SSAttnError) as err:
-            load_tensor(str(path))
-        assert type(err.value) is type(exc)
+        back = load_tensor(str(path))
+    except SSAttnError:
         return
     assert tensor_to_bytes(back) == blob
-    assert tensor_to_bytes(load_tensor(str(path))) == blob
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)

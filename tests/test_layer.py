@@ -1,6 +1,7 @@
 """Sparse-scan attention layer: config, params, forward/backward, FLOPs."""
 import re
 import tracemalloc
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -30,20 +31,25 @@ def gen(seed):
 
 def random_params(cfg, g, dtype=np.float64, spread=0.35):
     C = cfg.channels
-    p = S3AParams(
+    return S3AParams(
         w_qkv=(g.normal(size=(3 * C, C)) * spread).astype(dtype),
         b_qkv=(g.normal(size=3 * C) * spread).astype(dtype),
         w_out=(g.normal(size=(C, C)) * spread).astype(dtype),
         b_out=(g.normal(size=C) * spread).astype(dtype),
+        lce_filt=(g.normal(size=(C, 5, 5)) * spread).astype(dtype),
+        lce_bias=(g.normal(size=C) * spread).astype(dtype),
     )
-    if cfg.lce:
-        p.lce_filt = (g.normal(size=(C, 5, 5)) * spread).astype(dtype)
-        p.lce_bias = (g.normal(size=C) * spread).astype(dtype)
-    return p
 
 
 # ---------------------------------------------------------------------------
 # configuration
+
+
+def test_the_layer_settings_are_its_width_heads_and_sweep_geometry():
+    # every layer has its LCE branch: there is no setting for it, and no parameter is optional
+    assert [f.name for f in fields(S3AConfig)] == ["channels", "heads", "window", "anchors", "stride"]
+    assert [f.name for f in fields(S3AParams)] == ["w_qkv", "b_qkv", "w_out", "b_out", "lce_filt", "lce_bias"]
+    assert all(f.default is MISSING for f in fields(S3AParams))
 
 
 def test_config_normalizes_ints_to_pairs():
@@ -98,9 +104,6 @@ def test_config_validation_errors():
         {"channels": 8.0, "heads": 2},
         {"channels": True, "heads": 1},
         {"channels": 8, "heads": None},
-        {"channels": 8, "heads": 2, "lce": "no"},
-        {"channels": 8, "heads": 2, "lce": None},
-        {"channels": 8, "heads": 2, "lce": 1},
     ):
         with pytest.raises(ConfigError):
             S3AConfig(**kwargs)
@@ -146,14 +149,12 @@ def test_effective_anchor_counts_shrink_on_small_maps():
 
 
 def param_count(cfg):
-    return sum(t.size for t in vars(init_s3a_params(cfg, ShapeOnly())).values() if t is not None)
+    return sum(t.size for t in vars(init_s3a_params(cfg, ShapeOnly())).values())
 
 
 def test_param_count_frozen_example():
     cfg = S3AConfig(channels=64, heads=2)
-    assert param_count(cfg) == 18_304
-    bare = S3AConfig(channels=64, heads=2, lce=False)
-    assert param_count(bare) == 18_304 - 25 * 64 - 64
+    assert param_count(cfg) == 18_304  # 4 C^2 + 4 C of projections, 25 C + C of LCE
 
 
 def test_param_count_independent_of_neighborhood_geometry():
@@ -277,39 +278,36 @@ def test_layer_forward_rejects_a_nested_list():
         s3a_forward(x, init_s3a_params(cfg, Rng(0, np.float64)), cfg)
 
 
-@pytest.mark.parametrize("lce", [False, True])
-def test_layer_forward_rejects_mixed_or_non_float_operands(lce):
-    cfg = S3AConfig(channels=4, heads=2, lce=lce)
+def test_layer_forward_rejects_mixed_or_non_float_operands():
+    cfg = S3AConfig(channels=4, heads=2)
     p64 = init_s3a_params(cfg, Rng(0, np.float64))
     x = np.zeros((4, 5, 5))
     with pytest.raises(DTypeError, match="^s3a_forward: w_qkv is float64 but x is float32$"):
         s3a_forward(x.astype(np.float32), p64, cfg)
     with pytest.raises(DTypeError, match="^s3a_forward: x has non-floating dtype int64$"):
         s3a_forward(x.astype(np.int64), p64, cfg)
-    if lce:  # one tensor of another dtype, the LCE filter
-        with pytest.raises(DTypeError, match="lce_filt is float32"):
-            s3a_forward(x, S3AParams(**{**vars(p64), "lce_filt": p64.lce_filt.astype(np.float32)}), cfg)
+    with pytest.raises(DTypeError, match="lce_filt is float32"):  # one tensor of another dtype
+        s3a_forward(x, S3AParams(**{**vars(p64), "lce_filt": p64.lce_filt.astype(np.float32)}), cfg)
 
 
-@pytest.mark.parametrize("lce", [False, True])
-def test_layer_forward_checks_parameter_shapes_against_the_config(lce):
-    cfg = S3AConfig(channels=8, heads=2, lce=lce)
+def test_layer_forward_checks_parameter_shapes_against_the_config():
+    cfg = S3AConfig(channels=8, heads=2)
     x = gen(37).normal(size=(8, 5, 5))
-    wide = init_s3a_params(S3AConfig(channels=16, heads=2, lce=lce), Rng(0, np.float64))
+    wide = init_s3a_params(S3AConfig(channels=16, heads=2), Rng(0, np.float64))
     with pytest.raises(ShapeError, match=r"^s3a_forward: w_qkv has shape \(48, 16\), the layer's cfg needs \(24, 8\)$"):
         s3a_forward(x, wide, cfg)
-    # the LCE tensors are present exactly when cfg.lce is set
-    other = init_s3a_params(S3AConfig(channels=8, heads=2, lce=not lce), Rng(0, np.float64))
-    with pytest.raises(ShapeError, match="^s3a_forward: lce_filt has shape "):
-        s3a_forward(x, other, cfg)
     column = init_s3a_params(cfg, Rng(0, np.float64))
+    for lce_filt in (column.lce_filt[:, 1:4, 1:4], None):  # a filter of another size, or none
+        got = getattr(lce_filt, "shape", None)
+        with pytest.raises(ShapeError, match=re.escape(f"lce_filt has shape {got}, the layer's cfg needs (8, 5, 5)")):
+            s3a_forward(x, S3AParams(**{**vars(column), "lce_filt": lce_filt}), cfg)
     column.b_qkv = column.b_qkv[:, None]  # would broadcast to a [24, 24, 25] qkv
     with pytest.raises(ShapeError, match=r"b_qkv has shape \(24, 1\)"):
         s3a_forward(x, column, cfg)
 
 
 def test_layer_backward_rejects_a_cotangent_of_another_dtype():
-    cfg = S3AConfig(channels=4, heads=2, lce=False)
+    cfg = S3AConfig(channels=4, heads=2)
     x = gen(36).normal(size=(4, 5, 5)).astype(np.float32)
     out, saved = s3a_forward(x, init_s3a_params(cfg, Rng(0, np.float32)), cfg)
     with pytest.raises(DTypeError, match="^s3a_backward: grad_out is float64 but x is float32$"):
@@ -377,11 +375,12 @@ def test_single_site_closed_form():
 def test_head_permutation_invariance():
     # reordering head blocks inside the projections, compensated in the
     # output projection's columns, leaves the attention path intact
-    # (LCE is positional in the value channels, so it stays off here)
+    # (LCE is positional in the value channels, so its filter is zero here)
     C, heads, dh = 12, 3, 4
-    cfg = S3AConfig(channels=C, heads=heads, anchors=3, lce=False)
+    cfg = S3AConfig(channels=C, heads=heads, anchors=3)
     g = gen(64)
     params = random_params(cfg, g)
+    params.lce_filt[...] = 0.0
     x = g.normal(size=(C, 5, 6))
     base, _ = s3a_forward(x, params, cfg)
 
@@ -393,6 +392,8 @@ def test_head_permutation_invariance():
         b_qkv=params.b_qkv[full],
         w_out=params.w_out[:, rows],
         b_out=params.b_out,
+        lce_filt=params.lce_filt,
+        lce_bias=params.lce_bias,
     )
     out, _ = s3a_forward(x, permuted, cfg)
     assert np.abs(out - base).max() <= 1e-9
@@ -401,7 +402,7 @@ def test_head_permutation_invariance():
 def test_dense_degeneracy_single_precision():
     # window covering the map with a single anchor equals full attention
     C, H, W = 8, 5, 5
-    cfg = S3AConfig(channels=C, heads=2, window=5, anchors=1, lce=True)
+    cfg = S3AConfig(channels=C, heads=2, window=5, anchors=1)
     g = gen(65)
     params64 = random_params(cfg, g)
     params = S3AParams(
@@ -481,16 +482,6 @@ def test_backward_rejects_mismatched_cotangent():
         s3a_backward(np.ones((4, 3, 4), dtype=np.float32), saved)
 
 
-def test_backward_lce_off_has_no_lce_grads():
-    cfg = S3AConfig(channels=4, heads=2, lce=False)
-    params = init_s3a_params(cfg, Rng(8, np.float64))
-    x = gen(70).normal(size=(4, 3, 3))
-    _, saved = s3a_forward(x, params, cfg)
-    grads = s3a_backward(np.ones_like(x), saved)
-    assert "grad_lce_filt" not in grads
-    assert "grad_lce_bias" not in grads
-
-
 def test_train_step_keeps_q_k_v_once_and_one_qkv_gradient():
     """One f32 forward+backward at stage-1 geometry (64 x 56^2, 2 heads), traced.
 
@@ -551,7 +542,6 @@ def test_flops_frozen_example():
     lce = 25 * 64 * hw
     assert s3a_attention_flops(cfg, 56, 56) == attn
     assert s3a_flops(cfg, 56, 56) == proj + attn + lce
-    assert s3a_flops(S3AConfig(channels=64, heads=2, lce=False), 56, 56) == proj + attn
     assert s3a_attention_flops(cfg, 56, 56) // hw == 7_424
 
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -59,10 +60,26 @@ def test_presets_exist_with_expected_shape_families():
     assert t.blocks == (2, 2, 9, 2)
     assert t.channels == (64, 128, 256, 512)
     assert t.heads == (2, 4, 8, 16)
-    assert t.ffn_ratio == 3
     b = get_config("ssvit-b")
     assert b.channels == (80, 160, 320, 512)
     assert b.heads == (5, 5, 10, 16)
+
+
+def test_a_variant_is_its_depth_width_and_heads():
+    # the presets vary only these; window, anchors, stride, LCE, FFN ratio and input channels are fixed
+    assert [f.name for f in fields(ModelConfig)] == ["name", "blocks", "channels", "heads", "classes"]
+
+
+REMOVED_KEYS = {"ffn_ratio": 3, "window": 3, "anchors": 7, "stride": "auto", "lce": True, "in_channels": 3}
+
+
+@pytest.mark.parametrize("key", list(REMOVED_KEYS))
+def test_a_removed_setting_is_an_unknown_key_even_at_its_old_default(key):
+    d = {**config_to_dict(tiny_config()), key: REMOVED_KEYS[key]}
+    with pytest.raises(ConfigError, match=rf"^unknown config keys \['{key}'\]$"):
+        config_from_dict(d)
+    with pytest.raises(ConfigError, match=rf"^unknown config fields \['{key}'\]$"):
+        get_config("ssvit-t", **{key: REMOVED_KEYS[key]})
 
 
 def test_get_config_unknown_name():
@@ -84,9 +101,9 @@ def test_count_flops_sides_must_be_positive_ints():
 
 
 def test_get_config_overrides():
-    cfg = get_config("ssvit-t", classes=10, window=5)
+    cfg = get_config("ssvit-t", classes=10, blocks=(1, 1, 3, 1))
     assert cfg.classes == 10
-    assert cfg.stage_s3a(0).window == (5, 5)
+    assert cfg.blocks == (1, 1, 3, 1) and cfg.channels == (64, 128, 256, 512)
 
 
 def test_config_rejects_degenerate_settings():
@@ -103,14 +120,14 @@ def test_config_rejects_degenerate_settings():
         tiny_config(heads=(1, 2, 4, 7))  # raised by the stage-4 S3AConfig
     with pytest.raises(ConfigError):
         ModelConfig("x", **{**base, "blocks": (1, 1, 1)})  # three stages
-    with pytest.raises(ConfigError):
-        ModelConfig("x", **base, window=4)  # surfaced by stage probe
 
 
 def test_every_stage_takes_the_one_geometry():
-    cfg = tiny_config(window=(3, 5), anchors=5, stride=2, lce=False)
+    cfg = tiny_config()
     for i in range(4):
-        assert cfg.stage_s3a(i) == S3AConfig(cfg.channels[i], cfg.heads[i], (3, 5), 5, 2, False)
+        s3a = cfg.stage_s3a(i)
+        assert s3a == S3AConfig(cfg.channels[i], cfg.heads[i])
+        assert (s3a.window, s3a.anchors, s3a.stride) == ((3, 3), (7, 7), "auto")
 
 
 def test_a_config_naming_stage_overrides_is_refused():
@@ -126,7 +143,7 @@ def test_a_config_naming_stage_overrides_is_refused():
 def test_config_dict_round_trip():
     for cfg in [
         get_config("ssvit-t"),
-        tiny_config(window=(3, 5), stride=2, lce=False, classes=11),
+        tiny_config(blocks=(2, 1, 3, 1), classes=11),
     ]:
         d = config_to_dict(cfg)
         back = config_from_dict(d)
@@ -151,10 +168,7 @@ def test_config_from_dict_rejects_mistyped_fields():
         {"channels": [8.0, 16, 32, 64]},
         {"heads": 2},
         {"classes": True},
-        {"in_channels": 0},
-        {"lce": "no"},
         {"name": 7},
-        {"window": [True, 3]},
     ]
     for patch in bad:
         with pytest.raises(ConfigError):
@@ -176,7 +190,7 @@ _config_values = st.recursive(
     | st.dictionaries(st.sampled_from(["window", "anchors", "stride", "lce", "heads"]), inner, max_size=3),
     max_leaves=10,
 )
-_config_keys = sorted(config_to_dict(tiny_config())) + ["stage_overrides", "bogus"]
+_config_keys = sorted(config_to_dict(tiny_config())) + ["stage_overrides", "bogus", "window", "lce"]
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -198,20 +212,10 @@ def test_config_from_dict_round_trips_or_raises_config_error(patch, dropped):
 
 def test_config_hash_separates_configs():
     a = config_hash(get_config("ssvit-t"))
-    b = config_hash(get_config("ssvit-t", window=5))
+    b = config_hash(get_config("ssvit-t", classes=10))
     assert a != b
     assert len(a) == 16
     assert a == config_hash(get_config("ssvit-t"))
-
-
-def test_sequence_geometries_hash_and_compare():
-    pair = get_config("ssvit-t", stride=(2, 2))
-    for cfg in (get_config("ssvit-t", stride=np.array([2, 2])), get_config("ssvit-t", stride=[2, np.int64(2)])):
-        assert cfg == pair and hash(cfg) == hash(pair)
-        assert config_from_dict(config_to_dict(cfg)) == cfg
-        assert config_hash(cfg) == config_hash(pair)
-    assert hash(get_config("ssvit-t", window=[3, 3])) == hash(get_config("ssvit-t", window=(3, 3)))
-    assert get_config("ssvit-t", anchors=np.int64(7)).anchors == 7  # an int is kept as given
 
 
 # ---------------------------------------------------------------------------
@@ -307,20 +311,12 @@ def test_readme_preset_table_matches_the_counters():
 # golden_flops.json holds each case's tree as the closed-form count gave
 # it; odd sides (44 -> 22 -> 11 -> 6 -> 3 -> 2) check ceil halving through
 # the stem and every downsample
-GOLDEN_FLOPS_CASES = {
-    "ssvit-t": get_config("ssvit-t"),
-    "tiny-alt": tiny_config(name="tiny-alt", window=1, anchors=3, stride=2, lce=False, classes=3),
-}
-
-
 def test_flops_trees_match_golden_record():
     with open(Path(__file__).with_name("golden_flops.json")) as fh:
         record = json.load(fh)
-    assert [(r["case"], r["H"], r["W"]) for r in record] == [
-        ("ssvit-t", 224, 224), ("ssvit-t", 160, 44), ("tiny-alt", 36, 100)
-    ]
+    assert [(r["case"], r["H"], r["W"]) for r in record] == [("ssvit-t", 224, 224), ("ssvit-t", 160, 44)]
     for r in record:
-        assert count_flops(GOLDEN_FLOPS_CASES[r["case"]], r["H"], r["W"]).to_dict() == r["tree"], r["case"]
+        assert count_flops(get_config(r["case"]), r["H"], r["W"]).to_dict() == r["tree"], r["case"]
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +356,16 @@ def test_param_layout_and_preset_hashes_are_frozen():
     assert _layout_digest(tiny_config()) == (
         92, "eea7277eb16814e740ff3a0c4fe55aaebeb08ec5552edc4e33dec08fde9f53cd"
     )
-    alt = tiny_config(name="tiny-alt", window=1, anchors=3, stride=2, lce=False, classes=3)
+    alt = tiny_config(name="tiny-alt", blocks=(2, 1, 1, 2), classes=3)
     assert _layout_digest(alt) == (
-        84, "7f34d2966013892a55808fe77ef0896bc9340fb279fd08870f36310b86f0e42b"
+        124, "138b6cdc763fe7d350f9f0c4c13a4244867297847a34861dc86c8bc8c1c387d1"
     )
     hashes = {name: config_hash(cfg) for name, cfg in MODEL_PRESETS.items()}
     assert hashes == {
-        "ssvit-t": "5bd9c63ba712762e",
-        "ssvit-s": "37db4f68ad94ad17",
-        "ssvit-b": "cf2ed8306fa3aa07",
-        "ssvit-l": "35269b735a558015",
+        "ssvit-t": "f69646ac04f53fa2",
+        "ssvit-s": "7acc4a755ac7a418",
+        "ssvit-b": "dc6a4830c5bda74c",
+        "ssvit-l": "9b863044cae8fb15",
     }
 
 

@@ -142,8 +142,8 @@ def test_dense_attention_is_permutation_equivariant():
 
 def test_triangulation_window_one_single_stage():
     # window 1 makes stage 1 a no-op, so the layer's attention reduces
-    # to one dilated neighborhood attention over the raw values
-    cfg = S3AConfig(channels=6, heads=2, window=1, anchors=3, stride=2, lce=False)
+    # to one dilated neighborhood attention over the raw values, plus LCE
+    cfg = S3AConfig(channels=6, heads=2, window=1, anchors=3, stride=2)
     params = init_s3a_params(cfg, Rng(9, np.float64))
     x = gen(56).normal(size=(6, 5, 5))
     C, H, W = x.shape
@@ -156,6 +156,7 @@ def test_triangulation_window_one_single_stage():
     single = oracle_kernel(q, k, v, (3, 3), (2, 2), scale=3**-0.5)
     merged = single.transpose(0, 3, 1, 2).reshape(C, -1)
     want = (params.w_out @ merged + params.b_out[:, None]).reshape(C, H, W)
+    want += oracle_lce(qkv[2 * C :].reshape(C, H, W), params.lce_filt, params.lce_bias)
     got = oracle_s3a(x, params, cfg)
     assert np.abs(got - want).max() <= 1e-10
 
