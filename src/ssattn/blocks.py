@@ -39,7 +39,7 @@ from .layer import (
     init_s3a_params,
     s3a_forward,
 )
-from .tensor import F32, Rng, _checked_shape, check_float_dtypes, check_int, check_shapes
+from .tensor import F32, Rng, _checked_shape, check_float_dtypes, check_int, check_shapes, check_type
 
 LN_EPS = 1e-6
 CPE_KERNEL = 3
@@ -336,6 +336,7 @@ def ffn_forward(x: np.ndarray, p: FfnParams) -> np.ndarray:
 
 def ssvit_block(x: np.ndarray, p: BlockParams, cfg: S3AConfig) -> np.ndarray:
     """One backbone block: CPE, attention, and FFN, each residual."""
+    check_type("ssvit_block", p=(p, BlockParams), cfg=(cfg, S3AConfig))
     x = cpe_forward(x, p.cpe)
     y = x + s3a_forward(layernorm(x, p.ln1.scale, p.ln1.shift), p.s3a, cfg)[0]
     z = y + ffn_forward(layernorm(y, p.ln2.scale, p.ln2.shift), p.ffn)

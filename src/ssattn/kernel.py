@@ -21,16 +21,16 @@ The clamped lattice start is monotone in the query coordinate, so on
 each axis the queries that share a whole lattice row form contiguous
 runs (at 56 positions, 7 anchors, dilation 8: lengths 25, 1, ..., 1,
 25). Every (row run x column run) rectangle of queries shares one key
-set. `run_classes` groups the rectangles by run lengths (a, b), and
-each product of a query row with its lattice rows runs as one batched
-GEMM per class: [heads, G, a*b, .] against the class's G key sets
+set, and the rectangles group into run classes by run lengths (a, b).
+A class is described once, per axis, by `_axis_runs`: its query runs,
+its key runs and the step between taps. So a class's queries and its G
+key sets are both strided views of the map, and each product of a query
+row with its lattice rows is one batched GEMM per class:
+[heads, G, a*b, .] against the key sets, copied contiguous,
 [heads, G, n, dh]. That covers the scores q . K_set and the attention
 gradient g . V_set (sampled dense-dense products) as well as the
 aggregation P @ V_set and, in the class form below, the query gradient
-D @ K_set. A class's
-queries are a strided view of the map and only its G key sets are
-gathered: a few large rectangles on the anchor lattice, and one key set
-per query of the interior class (1, 1) on the local window.
+D @ K_set.
 
 The two transposed products, grad_k = D.T @ q and grad_v = A.T @ g,
 scatter onto keys, and the key sets of neighbouring rectangles may
@@ -39,9 +39,9 @@ from structure alone. Where most queries sit in rectangles of at least
 n queries (the anchor lattice: at 56 x 56, 2,500 of 3,136 queries in four
 25 x 25 rectangles against 49 keys), the query gradient is a class GEMM
 as above and each transposed product is one batched GEMM per class,
-[n, a*b] @ [a*b, dh] per rectangle, added into the result through a
-strided view of the class's key sets; where that view would hit one key
-twice, its taps are split into the fewest interleaved slices that do
+[n, a*b] @ [a*b, dh] per rectangle, added into the result through the
+same strided view of the class's key sets; where that view would hit one
+key twice, its taps are split into the fewest interleaved slices that do
 not. Elsewhere (the local window at sides >= 4, whose rectangles hold at
 most four queries against nine keys) all three products use one CSR
 matrix per sweep with n entries per row, block-diagonal over heads;
@@ -49,8 +49,8 @@ scipy.sparse is imported on the first such backward, so a forward-only
 process never loads it.
 
 None of this index work depends on the data, only on (H, W, spec). A
-geometry's plan (its index map, run classes with their key sets and,
-from the first backward on, either the per-class scatter slices or the
+geometry's plan (its index map, its run classes as Python ints and,
+from the first backward on, either the per-class tap slices or the
 CSR column pattern for one head count) is built once and kept in a
 least-recently-used cache of `_PLANS` entries; only the CSR data array
 is new per call. `flat_index_map` returns the plan's index map, one
@@ -65,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, EmptyDomainError, NumericError, ShapeError, SizeError
-from .tensor import check_float_dtypes, check_int
+from .tensor import check_float_dtypes, check_int, check_type
 
 
 def _odd(v, name: str) -> int:
@@ -139,12 +139,13 @@ def flat_index_map(H: int, W: int, spec: NeighborhoodSpec) -> np.ndarray:
     The int64 array is the geometry's cached plan's own: shared by every
     caller and read-only.
     """
+    check_type("flat_index_map", spec=(spec, NeighborhoodSpec))
     return _plan(H, W, spec).idx
 
 
 class Runs(NamedTuple):
-    """`count` runs of `length` positions on one axis, starting at
-    `first`, `first + step`, ...; each run shares one lattice row."""
+    """`count` runs of `length` positions on one axis, `step` apart from `first`:
+    queries sharing one lattice row each, or (positions a tap apart) those rows' keys."""
 
     first: int
     length: int
@@ -152,42 +153,36 @@ class Runs(NamedTuple):
     count: int
 
 
-def _axis_runs(rows: np.ndarray) -> list[Runs]:
-    """Group the runs of equal whole rows of `rows` ([side, n]) by length.
+def _axis_runs(lattice: np.ndarray) -> list[tuple[Runs, Runs, int]]:
+    """One axis's run groups, read off its [side, k] clamped lattice.
 
-    Clamping makes equal-length runs evenly spaced: they are either the
-    two edge runs of length r*d + 1 (r = k_eff // 2) or consecutive
-    single positions. So each group is a strided view of the axis with
-    the step of its first two starts.
+    Queries whose lattice rows are equal form runs, grouped by length.
+    Per group: (queries, keys, tap). The queries are `count` runs of
+    `length` positions; run g's lattice row is `k` taps `tap` apart from
+    key `keys.first + g * keys.step`, so `keys.length` is k. Clamping
+    makes a group's runs evenly spaced (the two edge runs of length
+    r*d + 1, r = k_eff // 2, or consecutive single positions) and its
+    rows evenly stepped; a lattice that is not is a ShapeError.
     """
-    new = np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1
-    bounds = [0, *new.tolist(), len(rows)]
+    side, k = lattice.shape
+    tap = int(lattice[0, 1] - lattice[0, 0]) if k > 1 else 0
+    new = np.flatnonzero((lattice[1:] != lattice[:-1]).any(axis=1)) + 1
+    bounds = [0, *new.tolist(), side]
     by_length: dict[int, list[int]] = {}
     for lo, hi in zip(bounds, bounds[1:]):
         by_length.setdefault(hi - lo, []).append(lo)
-    return [
-        Runs(starts[0], length, starts[1] - starts[0] if len(starts) > 1 else length, len(starts))
-        for length, starts in by_length.items()
-    ]
-
-
-def run_classes(idx: np.ndarray) -> list[tuple[Runs, Runs]]:
-    """Rectangles of queries sharing one key set, grouped by run lengths.
-
-    `idx` is a `flat_index_map` ([H, W, n]). It is an outer sum of a
-    row lattice and a column lattice, so queries (i, j) and (i + 1, j)
-    share keys for every j exactly when they do at j = 0, and likewise
-    along a row. Each (row group, column group) pair is one class: its
-    rectangles tile the map and every query of a rectangle has the key
-    set of the rectangle's first query.
-    """
-    cols = _axis_runs(idx[0])
-    return [(r, c) for r in _axis_runs(idx[:, 0]) for c in cols]
-
-
-def _firsts(runs: Runs) -> slice:
-    """The first position of every run of a group."""
-    return slice(runs.first, runs.first + runs.step * (runs.count - 1) + 1, runs.step)
+    even = (lattice == lattice[:, :1] + tap * np.arange(k)).all()
+    groups = []
+    for length, starts in by_length.items():
+        starts = np.array(starts)
+        keys = lattice[starts, 0]
+        g = np.arange(len(starts))
+        step, kstep = (starts[1] - starts[0], keys[1] - keys[0]) if len(starts) > 1 else (length, 0)
+        if not (even and (starts == starts[0] + step * g).all() and (keys == keys[0] + kstep * g).all()):
+            raise ShapeError(f"lattice on an axis of extent {side} is not evenly spaced")
+        groups.append((Runs(int(starts[0]), length, int(step), len(starts)),
+                       Runs(int(keys[0]), k, int(kstep), len(starts)), tap))
+    return groups
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -195,63 +190,53 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _key_axis(lattice: np.ndarray, runs: Runs) -> tuple[Runs, int, tuple[slice, ...]]:
-    """Where one axis's run group scatters onto keys: (runs, tap, slices).
-
-    `lattice` is the axis's [side, k] clamped lattice. The returned Runs
-    give run g's lattice row as `length` = k taps starting at
-    `first + g * step`, `tap` apart; `slices` split the taps into the
-    fewest interleaved sets on which no two (run, tap) pairs share a key.
-    """
-    start, k = int(lattice[runs.first, 0]), lattice.shape[1]
-    step = int(lattice[runs.first + runs.step, 0]) - start if runs.count > 1 else 0
-    tap = int(lattice[0, 1] - lattice[0, 0]) if k > 1 else 0
+def _tap_slices(keys: Runs, tap: int) -> tuple[slice, ...]:
+    """The fewest interleaved slices of a group's `keys.length` taps on
+    which no two (run, tap) pairs share a key."""
+    k, step, count = keys.length, keys.step, keys.count
     # one tap per slice (m = k) always qualifies: a group's runs start at distinct keys
     m = next(
         m for m in range(1, k + 1)
         if all(
-            len({g * step + t * tap for g in range(runs.count) for t in range(t0, k, m)})
-            == runs.count * len(range(t0, k, m))
+            len({g * step + t * tap for g in range(count) for t in range(t0, k, m)})
+            == count * len(range(t0, k, m))
             for t0 in range(m)
         )
     )
-    return Runs(start, k, step, runs.count), tap, tuple(slice(t0, k, m) for t0 in range(m))
+    return tuple(slice(t0, k, m) for t0 in range(m))
 
 
 class _Plan:
     """The data-independent index work of one geometry, built once.
 
-    `idx` is the [H, W, n] index map. `classes` holds, per run class,
-    its row runs, column runs and the [Gr, Gc, n] key sets of its
-    rectangles; both are read-only. `on_csr` picks the form of the
-    backward's three sweep-matrix products (see `_sweep_products`) from
-    structure alone: per run class when most of the map's queries sit in
-    rectangles of at least n queries, CSR otherwise (at 56 x 56, f32, 2
-    heads, the class form takes the anchor sweep's three products from
-    5.6 to 2.2 ms, and the local window's from 1.1 to 11 ms). `csr` is
+    `idx` is the [H, W, n] read-only index map. `classes` holds, per
+    run class, the `_axis_runs` entries of its row and column groups:
+    its rectangles of queries and their key sets, as `Runs` and ints.
+    `on_csr` picks the form of the backward's three sweep-matrix
+    products (see `_sweep_products`) from structure alone: per run class
+    when most of the map's queries sit in rectangles of at least n
+    queries, CSR otherwise (at 56 x 56, f32, 2 heads, the class form
+    takes the anchor sweep's three products from 5.6 to 2.2 ms, and the
+    local window's from 1.1 to 11 ms). `csr` is
     (heads, indices, indptr) of the sweep matrices for the head count of
     the latest CSR backward, None before the first, and rewritten when
     the head count changes.
     """
 
     def __init__(self, lh: np.ndarray, lw: np.ndarray, idx: np.ndarray):
-        self.lattices = (lh, lw)
         self.idx = idx
-        self.classes = [
-            (rows, cols, _frozen(np.ascontiguousarray(idx[_firsts(rows), _firsts(cols)])))
-            for rows, cols in run_classes(idx)
-        ]
+        cols = _axis_runs(lw)
+        self.classes = [(r, c) for r in _axis_runs(lh) for c in cols]
         H, W, n = idx.shape
         shared = sum(r.length * c.length * r.count * c.count
-                     for r, c, _ in self.classes if r.length * c.length >= n)
+                     for (r, _, _), (c, _, _) in self.classes if r.length * c.length >= n)
         self.on_csr = 2 * shared <= H * W
         self.csr = None
 
     @functools.cached_property
-    def scatters(self) -> list[tuple[tuple, tuple]]:
-        """Per run class, the row and column `_key_axis` of its key sets."""
-        lh, lw = self.lattices
-        return [(_key_axis(lh, rows), _key_axis(lw, cols)) for rows, cols, _ in self.classes]
+    def scatters(self) -> list[tuple[tuple[slice, ...], tuple[slice, ...]]]:
+        """Per run class, the `_tap_slices` of its row and column key runs."""
+        return [(_tap_slices(kr, tr), _tap_slices(kc, tc)) for (_, kr, tr), (_, kc, tc) in self.classes]
 
     def sweep_pattern(self, heads: int) -> tuple[np.ndarray, np.ndarray]:
         """CSR (indices, indptr) of a sweep matrix over `heads` heads; see _sweep_matrix."""
@@ -269,9 +254,9 @@ class _Plan:
 
 # Plans kept. A model forward asks for two geometries per stage (local
 # and anchor sweep), so 32 plans hold every map of four input sizes. An
-# unbounded cache grows with every new input size (104 MB after 300
-# ssvit-t forwards on sides drawn from 32..160); 32 plans peak at 3.9 MB
-# there, 64 at 8.6 MB for a miss ratio only 3 points lower.
+# unbounded cache grows with every new input size (88 MB after 300
+# ssvit-t forwards on sides drawn from 32..160); 32 plans peak at 3.2 MB
+# there, 64 at 7.3 MB for a miss ratio only 3 points lower.
 _PLANS = 32
 
 
@@ -283,7 +268,7 @@ def _plan(H: int, W: int, spec: NeighborhoodSpec) -> _Plan:
     lw = clamped_lattice(np.arange(W), W, spec.kernel[1], spec.dilation[1])
     # frozen before the reshape, so the map's writeable flag cannot be set back
     flat = _frozen(lh[:, None, :, None] * W + lw[None, :, None, :])
-    return _Plan(_frozen(lh), _frozen(lw), flat.reshape(H, W, -1))
+    return _Plan(lh, lw, flat.reshape(H, W, -1))
 
 
 def _geometry_plan(H: int, W: int, spec: NeighborhoodSpec) -> _Plan:
@@ -298,8 +283,8 @@ def _class_view(t: np.ndarray, rows: Runs, cols: Runs, taps: tuple[int, int] = (
     """[heads, Gr, Gc, a, b, last] view of a C-contiguous [heads, H, W, last] map.
 
     On each axis it holds `count` runs `step` apart from `first`, of
-    `length` positions `taps` apart: a class's queries, or with a
-    `_key_axis` pair, its key sets.
+    `length` positions `taps` apart: a class's queries, or with its
+    key runs and taps, its key sets.
     """
     s0, s1, s2, s3 = t.strides
     return np.ndarray(
@@ -319,19 +304,18 @@ def _lattice_matmul(
     x is [heads, H, W, n]. `out`, if given, is a C-contiguous result to fill.
     """
     heads, H, W, _ = x.shape
-    dh = y.shape[-1]
-    x = np.ascontiguousarray(x)
-    yf = np.ascontiguousarray(y).reshape(heads, H * W, dh)
+    n, dh = plan.idx.shape[-1], y.shape[-1]
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
     if out is None:
-        out = np.empty((heads, H, W, plan.idx.shape[-1] if sampled else dh), np.result_type(x, y))
-    for rows, cols, keys in plan.classes:
-        # [heads, Gr, Gc, n, dh]: the lattice rows of y shared by each rectangle
-        ysets = np.take(yf, keys, axis=1)
+        out = np.empty((heads, H, W, n if sampled else dh), np.result_type(x, y))
+    for (rows, krows, tr), (cols, kcols, tc) in plan.classes:
+        G = (heads, rows.count, cols.count)
+        # [heads, Gr, Gc, n, dh]: the lattice rows of y shared by each rectangle. Copied:
+        # where one key axis has a single tap the reshape is a strided view, on which
+        # matmul would sum in another order.
+        ysets = np.ascontiguousarray(_class_view(y, krows, kcols, (tr, tc)).reshape(*G, n, dh))
         xb = _class_view(x, rows, cols)
-        prod = np.matmul(
-            xb.reshape(*ysets.shape[:3], -1, x.shape[-1]),
-            ysets.swapaxes(-1, -2) if sampled else ysets,
-        )
+        prod = np.matmul(xb.reshape(*G, -1, x.shape[-1]), ysets.swapaxes(-1, -2) if sampled else ysets)
         _class_view(out, rows, cols)[...] = prod.reshape(xb.shape[:5] + (-1,))
     return out
 
@@ -348,7 +332,7 @@ def _scatter_matmul(w: np.ndarray, x: np.ndarray, plan: _Plan, out: np.ndarray) 
     """
     heads, _, _, n = w.shape
     dh = x.shape[-1]
-    for (rows, cols, _), ((krows, tr, rsl), (kcols, tc, csl)) in zip(plan.classes, plan.scatters):
+    for ((rows, krows, tr), (cols, kcols, tc)), (rsl, csl) in zip(plan.classes, plan.scatters):
         G = (heads, rows.count, cols.count, rows.length * cols.length)
         prod = np.matmul(
             _class_view(w, rows, cols).reshape(*G, n).swapaxes(-1, -2),
@@ -482,6 +466,7 @@ def kernel_forward(
 
 def kernel_backward(grads_out: np.ndarray, saved: KernelSaved) -> dict[str, np.ndarray]:
     """Analytic gradients of the scores -> softmax -> aggregate composite."""
+    check_type("kernel_backward", saved=(saved, KernelSaved))
     q, k, v, attn, spec = saved.q, saved.k, saved.v, saved.attn, saved.spec
     check_float_dtypes("kernel_backward", v=v, grads_out=grads_out)
     _, H, W, _ = q.shape
@@ -506,6 +491,7 @@ def kernel_backward(grads_out: np.ndarray, saved: KernelSaved) -> dict[str, np.n
 
 def kernel_flops(H: int, W: int, heads: int, dh: int, spec: NeighborhoodSpec) -> int:
     """Multiply-accumulate count: scores plus aggregation, softmax excluded."""
+    check_type("kernel_flops", spec=(spec, NeighborhoodSpec))
     H, W = check_int(H, "H", below=EmptyDomainError), check_int(W, "W", below=EmptyDomainError)
     keh = effective_kernel(spec.kernel[0], H, spec.dilation[0])
     kew = effective_kernel(spec.kernel[1], W, spec.dilation[1])

@@ -34,7 +34,7 @@ from .kernel import (
     kernel_flops,
     kernel_forward,
 )
-from .tensor import Rng, ShapeOnly, check_float_dtypes, check_int
+from .tensor import Rng, ShapeOnly, check_float_dtypes, check_int, check_type
 
 LCE_KERNEL = 5
 INIT_STD = 0.02
@@ -97,6 +97,7 @@ class S3AParams:
 
 def s3a_param_shapes(cfg: S3AConfig) -> dict[str, tuple[int, ...]]:
     """The shape of every S3AParams field under cfg, in field order."""
+    check_type("s3a_param_shapes", cfg=(cfg, S3AConfig))
     C = cfg.channels
     return {"w_qkv": (3 * C, C), "b_qkv": (3 * C,), "w_out": (C, C), "b_out": (C,),
             "lce_filt": (C, LCE_KERNEL, LCE_KERNEL), "lce_bias": (C,)}
@@ -232,6 +233,7 @@ def s3a_forward(
     x: np.ndarray, params: S3AParams, cfg: S3AConfig
 ) -> tuple[np.ndarray, S3ASaved]:
     """Apply the layer to a [C, H, W] map; returns output and saved state."""
+    check_type("s3a_forward", params=(params, S3AParams), cfg=(cfg, S3AConfig))
     check_float_dtypes("s3a_forward", x=x, **vars(params))
     for name, shape in s3a_param_shapes(cfg).items():
         got = getattr(getattr(params, name), "shape", None)
@@ -276,6 +278,7 @@ def s3a_backward(grad_out: np.ndarray, saved: S3ASaved) -> dict[str, np.ndarray]
 
     The saved state is only read, so repeated calls return equal grads.
     """
+    check_type("s3a_backward", saved=(saved, S3ASaved))
     check_float_dtypes("s3a_backward", x=saved.x, grad_out=grad_out)
     cfg, params = saved.cfg, saved.params
     C, H, W = saved.x.shape
@@ -296,7 +299,7 @@ def s3a_backward(grad_out: np.ndarray, saved: S3ASaved) -> dict[str, np.ndarray]
     del cot
     b1 = kernel_backward(b2.pop("grad_v"), saved.saved1)
     # One [3C, HW] gradient of the qkv projection, allocated once both sweeps have
-    # run (so it is not live across the local sweep's gathers) and written through
+    # run (so it is not live across the local sweep's key-set copies) and written through
     # head views: each of q and k is the two sweeps' sum, in one pass.
     d_qkv = np.empty((3 * C, H * W), dtype=saved.x.dtype)
     dq, dk, dv = (_split_heads(d_qkv[i * C : (i + 1) * C], heads, H, W) for i in range(3))
@@ -337,5 +340,6 @@ def s3a_flops(cfg: S3AConfig, H: int, W: int) -> int:
 
 def s3a_attention_flops(cfg: S3AConfig, H: int, W: int) -> int:
     """The neighborhood-attention share of s3a_flops (both stages)."""
+    check_type("s3a_attention_flops", cfg=(cfg, S3AConfig))
     heads, dh = cfg.heads, cfg.head_dim
     return sum(kernel_flops(H, W, heads, dh, spec) for spec in sweep_specs(cfg, H, W))

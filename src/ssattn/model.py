@@ -45,7 +45,7 @@ from .blocks import (
 from .errors import ConfigError, DTypeError, NumericError, ShapeError, StateError
 from .layer import S3AConfig, s3a_attention_flops, weight_macs
 from .report import ReportNode
-from .tensor import Rng, ShapeOnly, check_float_dtypes, check_int, check_shapes
+from .tensor import Rng, ShapeOnly, check_float_dtypes, check_int, check_shapes, check_type
 
 NUM_STAGES = 4
 
@@ -89,7 +89,7 @@ MODEL_PRESETS: dict[str, ModelConfig] = {
 
 def get_config(name: str, **overrides) -> ModelConfig:
     """Look up a preset by name, optionally overriding fields."""
-    _check_type("get_config", name=(name, str))
+    check_type("get_config", name=(name, str))
     if name not in MODEL_PRESETS:
         raise ConfigError(f"unknown model {name!r}; known: {sorted(MODEL_PRESETS)}")
     unknown = set(overrides) - {f.name for f in fields(ModelConfig)}
@@ -109,7 +109,7 @@ class ModelParams:
 
 def build_model(cfg: ModelConfig, rng: Rng | ShapeOnly) -> ModelParams:
     """Initialize every tensor of the backbone in rng's dtype; with ShapeOnly, only their shapes."""
-    _check_type("build_model", cfg=(cfg, ModelConfig), rng=(rng, (Rng, ShapeOnly)))
+    check_type("build_model", cfg=(cfg, ModelConfig), rng=(rng, (Rng, ShapeOnly)))
     stem = init_stem_params(cfg.channels[0], rng)
     stages = [[init_block_params(cfg.stage_s3a(i), rng) for _ in range(cfg.blocks[i])]
               for i in range(NUM_STAGES)]
@@ -119,14 +119,6 @@ def build_model(cfg: ModelConfig, rng: Rng | ShapeOnly) -> ModelParams:
     ]
     head = init_head_params(cfg.channels[-1], cfg.classes, rng)
     return ModelParams(stem=stem, stages=stages, downsamples=downsamples, head=head)
-
-
-def _check_type(where: str, **args: tuple[object, type | tuple[type, ...]]) -> None:
-    """ConfigError naming the expected type(s) unless each value is an instance of its type(s)."""
-    for name, (value, kind) in args.items():
-        if not isinstance(value, kind):
-            kinds = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
-            raise ConfigError(f"{where}: {name} must be a {kinds}, got {type(value).__name__}")
 
 
 def check_input_sides(H: int, W: int) -> None:
@@ -187,7 +179,7 @@ def model_forward(x: np.ndarray, params: ModelParams, cfg: ModelConfig) -> np.nd
     StateError or ShapeError. A NaN or Inf in a step's output, or a
     NumericError inside it, is a NumericError prefixed with the path.
     """
-    _check_type("model_forward", params=(params, ModelParams), cfg=(cfg, ModelConfig))
+    check_type("model_forward", params=(params, ModelParams), cfg=(cfg, ModelConfig))
     check_float_dtypes("model_forward", weights=params.head.w,
                        **{"input image": x, "head bias": params.head.b})
     if x.ndim != 3 or x.shape[0] != STEM_IN_CHANNELS:
@@ -212,7 +204,7 @@ def count_params(cfg: ModelConfig) -> ReportNode:
     head). A shape too large to address raises SizeError; a cfg that is
     not a ModelConfig, ConfigError.
     """
-    _check_type("count_params", cfg=(cfg, ModelConfig))
+    check_type("count_params", cfg=(cfg, ModelConfig))
     totals: dict[str, int] = {}
     for path, arr in param_items(build_model(cfg, ShapeOnly())):
         top = path.split(".", 1)[0]
@@ -230,7 +222,7 @@ def count_flops(cfg: ModelConfig, H: int, W: int) -> ReportNode:
     block adds its S3A layer's two sweeps. cfg must be a ModelConfig and
     H and W ints >= 1, else ConfigError.
     """
-    _check_type("count_flops", cfg=(cfg, ModelConfig))
+    check_type("count_flops", cfg=(cfg, ModelConfig))
     H, W = check_int(H, "H"), check_int(W, "W")
     root = ReportNode(f"{cfg.name}@{H}x{W}")
     for path, parts, s3a, h, w, _ in _walk(cfg, build_model(cfg, ShapeOnly()), H, W):
@@ -261,7 +253,8 @@ def _slots(prefix: str, node) -> list[tuple[str, object, str]]:
     return slots
 
 
-def _model_slots(params: ModelParams) -> list[tuple[str, object, str]]:
+def _model_slots(where: str, params: ModelParams) -> list[tuple[str, object, str]]:
+    check_type(where, params=(params, ModelParams))
     return [slot for _, parts, *_ in _walk(None, params, 1, 1) for prefix, node, _ in parts
             for slot in _slots(prefix, node)]
 
@@ -273,7 +266,7 @@ def tensor_items(prefix: str, node) -> list[tuple[str, np.ndarray]]:
 
 def param_items(params: ModelParams) -> list[tuple[str, np.ndarray]]:
     """Deterministic (path, tensor) listing of every learnable tensor."""
-    return [(path, getattr(owner, name)) for path, owner, name in _model_slots(params)]
+    return [(path, getattr(owner, name)) for path, owner, name in _model_slots("param_items", params)]
 
 
 def load_state(params: ModelParams, tensors: dict[str, np.ndarray]) -> None:
@@ -288,7 +281,7 @@ def load_state(params: ModelParams, tensors: dict[str, np.ndarray]) -> None:
     """
     if not isinstance(tensors, Mapping):
         raise StateError(f"load_state needs a mapping of path to array, got {type(tensors).__name__}")
-    slots = _model_slots(params)
+    slots = _model_slots("load_state", params)
     for path, owner, name in slots:
         if path not in tensors:
             raise StateError(f"missing parameter {path!r}")
@@ -311,7 +304,7 @@ def load_state(params: ModelParams, tensors: dict[str, np.ndarray]) -> None:
 
 def config_to_dict(cfg: ModelConfig) -> dict:
     """JSON-friendly form of a configuration (its tuples of plain ints become lists)."""
-    _check_type("config_to_dict", cfg=(cfg, ModelConfig))
+    check_type("config_to_dict", cfg=(cfg, ModelConfig))
     return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(cfg).items()}
 
 
@@ -333,6 +326,6 @@ def config_from_dict(d: dict) -> ModelConfig:
 
 def config_hash(cfg: ModelConfig) -> str:
     """Short stable digest of the canonical config serialization."""
-    _check_type("config_hash", cfg=(cfg, ModelConfig))
+    check_type("config_hash", cfg=(cfg, ModelConfig))
     blob = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -6,7 +6,8 @@ module pins down the dtypes and random initialization; everything
 else in the package builds on these arrays, and every numeric entry
 point guards its operands with `check_float_dtypes`, so nothing is
 silently promoted or cast. Every integer argument (extents, strides,
-counts, seeds) passes `check_int`.
+counts, seeds) passes `check_int`, and a config, spec, parameter tree
+or saved state of the wrong type fails `check_type`.
 
 Randomness comes from numpy's Philox bit generator, a documented
 counter-based PRNG: a given 64-bit seed yields the same draw sequence
@@ -70,6 +71,15 @@ def check_int(value, name: str, minimum: int = 1, error=ConfigError, below=None)
     elif value >= minimum:
         return int(value)
     raise (below or error)(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
+def check_type(where: str, **args: tuple[object, type | tuple[type, ...]]) -> None:
+    """ConfigError naming the expected type(s) unless each value is an instance of its type(s):
+    the one test of an object argument."""
+    for name, (value, kind) in args.items():
+        if not isinstance(value, kind):
+            kinds = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+            raise ConfigError(f"{where}: {name} must be a {kinds}, got {type(value).__name__}")
 
 
 def philox(seed: int, stream: int = 0) -> np.random.Generator:

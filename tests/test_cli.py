@@ -19,7 +19,7 @@ from ssattn import bench, checks
 from ssattn.bench import SCOPE_NOTE
 from ssattn.checks import CHECKS, run_checks, tiny_config
 from ssattn.cli import build_parser, main
-from ssattn.errors import ConfigError
+from ssattn.errors import ConfigError, ShapeError
 from ssattn.io import save_checkpoint, save_model_checkpoint, save_tensor, load_tensor, tensor_to_bytes
 from ssattn.model import build_model, config_to_dict, model_forward, param_items
 from ssattn.tensor import Rng
@@ -217,25 +217,34 @@ def test_check_rejects_nonpositive_cases(capsys):
             run_checks(names)
 
 
+def skew(lattice, center, side, k, d):
+    """An irregular fault: every tap one step on, clipped at the far border, where
+    the clipped taps pile onto the last key."""
+    lat = lattice(center, side, k, d)
+    return np.minimum(lat + d, side - 1) if side > 1 else lat
+
+
+def neighbour(lattice, center, side, k, d):
+    """A regular fault: each query takes its next neighbour's clamped lattice."""
+    return lattice(np.minimum(center + 1, side - 1), side, k, d)
+
+
 @pytest.fixture
-def skew_lattice(monkeypatch):
-    """Installer of an off-by-one in the fast path's lattice builder.
+def fault_lattice(monkeypatch):
+    """Installer of a fault into the fast path's lattice builder.
 
     The kernel builds each geometry's index plan once and caches it, so
-    the plans are cleared when the skew goes in (plans built from the
-    true lattice would hide it) and again when it comes out (skewed
+    the plans are cleared when the fault goes in (plans built from the
+    true lattice would hide it) and again when it comes out (faulty
     plans would fail later, clean runs).
     """
     orig = kernel_mod.clamped_lattice
 
-    def skewed(center, side, k, d=1):
-        lat = orig(center, side, k, d)
-        if side > 1:
-            lat = np.minimum(lat + d, side - 1)
-        return lat
+    def install(fault):
+        def faulty(center, side, k, d=1):
+            return fault(orig, center, side, k, d)
 
-    def install():
-        monkeypatch.setattr(kernel_mod, "clamped_lattice", skewed)
+        monkeypatch.setattr(kernel_mod, "clamped_lattice", faulty)
         kernel_mod._plan.cache_clear()
 
     yield install
@@ -261,10 +270,22 @@ def assert_oracle_check_fails(capsys):
     return over
 
 
-def test_check_detects_mutated_lattice(skew_lattice, capsys):
+def test_check_detects_mutated_lattice(fault_lattice, capsys):
     # a deliberate off-by-one in the fast path must trip the oracle suite
-    skew_lattice()
+    fault_lattice(neighbour)
     assert_oracle_check_fails(capsys)
+
+
+def test_an_irregular_lattice_is_a_shape_error_before_any_product(fault_lattice, capsys):
+    # the plan's strided views assume evenly spaced taps; a lattice without them is refused
+    fault_lattice(skew)
+    with pytest.raises(ShapeError, match="not evenly spaced"):
+        run_checks(["oracle"], cases=8)
+    rc = main(["check", "--suite", "oracle", "--cases", "8"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert re.search(r"^error: lattice on an axis of extent \d+ is not evenly spaced$", err, re.M), err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("fault, over", [
@@ -283,10 +304,10 @@ def test_check_fail_line_shows_the_bound_a_fault_breaks(monkeypatch, capsys, fau
     assert assert_oracle_check_fails(capsys) == over
 
 
-def test_check_detects_mutated_lattice_after_the_same_run_warmed_the_cache(skew_lattice, capsys):
-    # the clean run caches the plans of every geometry the skewed run asks for
+def test_check_detects_mutated_lattice_after_the_same_run_warmed_the_cache(fault_lattice, capsys):
+    # the clean run caches the plans of every geometry the faulty run asks for
     run_cli(capsys, ["check", "--suite", "oracle", "--cases", "8"])
-    skew_lattice()
+    fault_lattice(neighbour)
     assert_oracle_check_fails(capsys)
 
 

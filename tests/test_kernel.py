@@ -22,7 +22,6 @@ from ssattn.kernel import (
     kernel_forward,
     neighborhood_aggregate,
     neighborhood_scores,
-    run_classes,
     softmax_rows,
 )
 from ssattn.oracle import axis_points, fd_gradient, oracle_kernel
@@ -148,18 +147,58 @@ _odd_kernel = st.sampled_from([1, 3, 5, 7, 9])
 @example(H=56, W=56, kh=7, kw=7, dh=8, dw=8)  # stage-1 anchors: runs 25, 1 x 6, 25
 @example(H=20, W=36, kh=3, kw=3, dh=1, dw=1)  # local window, non-square
 @example(H=10, W=9, kh=3, kw=3, dh=4, dw=4)  # two adjacent edge runs down, one whole-axis run across
-def test_run_classes_tile_the_map_with_shared_key_sets(H, W, kh, kw, dh, dw):
-    idx = flat_index_map(H, W, NeighborhoodSpec((kh, kw), (dh, dw)))
+@example(H=6, W=9, kh=5, kw=5, dh=3, dw=3)  # one tap down: a key-set view that merges into a strided one
+def test_plan_classes_tile_the_map_and_view_its_key_sets(H, W, kh, kw, dh, dw):
+    spec = NeighborhoodSpec((kh, kw), (dh, dw))
+    idx = flat_index_map(H, W, spec)
+    positions = np.arange(H * W).reshape(1, H, W, 1)
     cover = np.zeros((H, W), dtype=np.int64)
-    for rows, cols in run_classes(idx):
+    for axes in kernel_mod._plan(H, W, spec).classes:
+        assert all(type(v) is int for runs, keys, tap in axes for v in (*runs, *keys, tap))
+        (rows, krows, tr), (cols, kcols, tc) = axes
         r = rows.first + rows.step * np.arange(rows.count)[:, None] + np.arange(rows.length)
         c = cols.first + cols.step * np.arange(cols.count)[:, None] + np.arange(cols.length)
         np.add.at(cover, (r[:, None, :, None], c[None, :, None, :]), 1)
-        # [Gr, Gc, a, b, n] lattice rows of every query against its rectangle's first query
-        every = idx[r[:, None, :, None], c[None, :, None, :]]
-        first = idx[r[:, None, :1, None], c[None, :, None, :1]]
-        assert (every == first).all(axis=-1).all(), (rows, cols)
+        # the [Gr, Gc, n] key view against the lattice rows of every query of every rectangle
+        keys = kernel_mod._class_view(positions, krows, kcols, (tr, tc))
+        keys = keys.reshape(rows.count, cols.count, 1, 1, -1)
+        assert (idx[r[:, None, :, None], c[None, :, None, :]] == keys).all(), (rows, cols)
     assert (cover == 1).all()
+
+
+def _gathered_matmul(x, y, spec, sampled):
+    """_lattice_matmul's per-class GEMMs on key sets gathered by np.take through flat_index_map."""
+    heads, H, W, _ = x.shape
+    plan, idx, yf = kernel_mod._plan(H, W, spec), flat_index_map(H, W, spec), y.reshape(heads, H * W, -1)
+    out = np.empty((heads, H, W, idx.shape[-1] if sampled else y.shape[-1]), y.dtype)
+    for (rows, _, _), (cols, _, _) in plan.classes:
+        firsts = np.ix_(rows.first + rows.step * np.arange(rows.count), cols.first + cols.step * np.arange(cols.count))
+        ysets = np.take(yf, idx[firsts], axis=1)
+        xb = kernel_mod._class_view(x, rows, cols)
+        prod = np.matmul(xb.reshape(*ysets.shape[:3], -1, x.shape[-1]), ysets.swapaxes(-1, -2) if sampled else ysets)
+        kernel_mod._class_view(out, rows, cols)[...] = prod.reshape(xb.shape[:5] + (-1,))
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("H, W, heads, dh, spec", [
+    # a single tap on one key axis: with a key-set view that is not contiguous,
+    # matmul sums these float32 products in another order
+    *[(H, W, heads, dh, NeighborhoodSpec(5, 3))
+      for H, W in [(6, 9), (9, 5), (10, 6), (11, 6)] for heads, dh in [(1, 4), (3, 5)]],
+    (56, 56, 2, 32, NeighborhoodSpec(7, 8)),  # stage-1 anchors
+    (57, 43, 2, 32, NeighborhoodSpec(7, (8, 6))),  # anchors on sides that are not multiples of 7
+    (20, 36, 2, 4, NeighborhoodSpec(3)),  # local window
+    (13, 9, 3, 5, NeighborhoodSpec((3, 5), (2, 1))),
+])
+def test_lattice_products_equal_an_explicit_gather_bitwise(H, W, heads, dh, spec, dtype):
+    plan = kernel_mod._plan(H, W, spec)
+    g = gen(H * W + heads)
+    x, y = (g.standard_normal((heads, H, W, dh)).astype(dtype) for _ in range(2))
+    w = g.standard_normal((heads, H, W, plan.idx.shape[-1])).astype(dtype)
+    for a, sampled in ((x, True), (w, False)):
+        got = kernel_mod._lattice_matmul(a, y, plan, sampled)
+        assert got.tobytes() == _gathered_matmul(a, y, spec, sampled).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +619,7 @@ def _forward_backward(heads, H, W, spec, dtype, seed=40):
     ],
 )
 def test_cached_plan_gives_bitwise_the_results_of_a_fresh_one(H, W, spec, classes, dtype):
-    assert len(run_classes(flat_index_map(H, W, spec))) == classes
+    assert len(kernel_mod._plan(H, W, spec).classes) == classes
     kernel_mod._plan.cache_clear()
     fresh = _forward_backward(2, H, W, spec, dtype)
     assert kernel_mod._plan.cache_info().currsize == 1

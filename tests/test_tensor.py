@@ -1,16 +1,18 @@
-"""Dtypes, the dtype guard, the Philox-backed random source, and its shape checks."""
+"""Dtypes, the dtype and type guards, the Philox-backed random source, and its shape checks."""
 import dataclasses
 
 import numpy as np
 import pytest
 
 from ssattn import Rng
-from ssattn.blocks import conv2d, ffn_forward, gelu, init_ffn_params, layernorm, stem_forward
+from ssattn.blocks import conv2d, ffn_forward, gelu, init_ffn_params, layernorm, ssvit_block, stem_forward
 from ssattn.checks import run_checks, tiny_config
 from ssattn.errors import ConfigError, DTypeError, SizeError
 from ssattn.kernel import (
     NeighborhoodSpec,
+    flat_index_map,
     kernel_backward,
+    kernel_flops,
     kernel_forward,
     neighborhood_aggregate,
     neighborhood_scores,
@@ -21,10 +23,13 @@ from ssattn.layer import (
     depthwise_backward,
     depthwise_forward,
     init_s3a_params,
+    s3a_attention_flops,
     s3a_backward,
+    s3a_flops,
     s3a_forward,
+    s3a_param_shapes,
 )
-from ssattn.model import build_model, model_forward
+from ssattn.model import build_model, load_state, model_forward, param_items
 from ssattn.tensor import DEFAULT_DTYPE, DTYPES, F32, F64, ShapeOnly
 
 
@@ -194,3 +199,28 @@ def test_entry_points_admit_only_float32_and_float64(guarded_calls, entry, dtype
     name = np.dtype(dtype).name
     with pytest.raises(DTypeError, match=f"^{entry}: .+ has unsupported float dtype {name}$"):
         guarded_calls[entry](lambda a: _cast(a, dtype))
+
+
+_Q = np.zeros((1, 5, 5, 2))
+_X, _LAYER = np.zeros((4, 5, 5)), S3AConfig(channels=4, heads=2)
+_S3A = init_s3a_params(_LAYER, Rng(0, F64))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: kernel_forward(_Q, _Q, _Q, 3), "flat_index_map: spec must be a NeighborhoodSpec, got int"),
+    (lambda: flat_index_map(5, 5, 3), "flat_index_map: spec must be a NeighborhoodSpec, got int"),
+    (lambda: kernel_flops(5, 5, 1, 2, 3), "kernel_flops: spec must be a NeighborhoodSpec, got int"),
+    (lambda: kernel_backward(_Q, None), "kernel_backward: saved must be a KernelSaved, got NoneType"),
+    (lambda: s3a_param_shapes((4, 2)), "s3a_param_shapes: cfg must be a S3AConfig, got tuple"),
+    (lambda: s3a_forward(_X, _S3A, None), "s3a_forward: cfg must be a S3AConfig, got NoneType"),
+    (lambda: s3a_forward(_X, vars(_S3A), _LAYER), "s3a_forward: params must be a S3AParams, got dict"),
+    (lambda: s3a_backward(_X, None), "s3a_backward: saved must be a S3ASaved, got NoneType"),
+    (lambda: s3a_flops(None, 5, 5), "s3a_param_shapes: cfg must be a S3AConfig, got NoneType"),
+    (lambda: s3a_attention_flops(None, 5, 5), "s3a_attention_flops: cfg must be a S3AConfig, got NoneType"),
+    (lambda: ssvit_block(_X, None, _LAYER), "ssvit_block: p must be a BlockParams, got NoneType"),
+    (lambda: param_items(None), "param_items: params must be a ModelParams, got NoneType"),
+    (lambda: load_state(None, {}), "load_state: params must be a ModelParams, got NoneType"),
+])
+def test_entry_points_name_an_argument_of_the_wrong_type(call, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        call()
